@@ -1,5 +1,6 @@
 //! Criterion bench regenerating the compile-time columns of Table 1 (E2):
-//! compilation with and without the verification passes, per corpus row.
+//! compilation with and without the verification passes, for every corpus
+//! row at expansion depth 2.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use jmatch_core::{compile, CompileOptions};
@@ -7,19 +8,7 @@ use jmatch_core::{compile, CompileOptions};
 fn bench_verification_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1_verification");
     group.sample_size(10);
-    let fast = [
-        "Nat",
-        "ZNat",
-        "PZero",
-        "List",
-        "EmptyList",
-        "Tree",
-        "TreeLeaf",
-    ];
-    for entry in jmatch_corpus::entries()
-        .into_iter()
-        .filter(|e| fast.contains(&e.name))
-    {
+    for entry in jmatch_corpus::entries() {
         let source = entry.combined_jmatch();
         group.bench_function(format!("without/{}", entry.name), |b| {
             b.iter(|| {

@@ -14,7 +14,9 @@
 #![forbid(unsafe_code)]
 
 use jmatch_core::table::ClassTable;
-use jmatch_core::{compile, extract, CompileOptions, Diagnostics, Verifier, VerifyOptions};
+use jmatch_core::{
+    compile, extract, CompileOptions, Diagnostics, SessionStats, Verifier, VerifyOptions,
+};
 use jmatch_corpus::CorpusEntry;
 use jmatch_runtime::{args, Bindings, Engine, Program, Query, Value, Workspace};
 use jmatch_syntax::ast::{CmpOp, Expr, Formula};
@@ -161,6 +163,79 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
     out
 }
 
+/// Where one corpus row's verification time went, split by solver layer.
+#[derive(Debug, Clone)]
+pub struct LayerRow {
+    /// Row name.
+    pub name: &'static str,
+    /// Expansion depth the row was verified at.
+    pub depth: u32,
+    /// Wall time of the whole verification pass.
+    pub verify: Duration,
+    /// Solver counters, including the per-layer wall times.
+    pub stats: SessionStats,
+}
+
+impl LayerRow {
+    /// Share of the verification time spent in the LIA and EUF checks.
+    pub fn theory_share(&self) -> f64 {
+        let total = self.verify.as_secs_f64();
+        if total == 0.0 {
+            0.0
+        } else {
+            (self.stats.lia_time + self.stats.euf_time).as_secs_f64() / total
+        }
+    }
+}
+
+/// Verifies one corpus entry through the shared-session path `compile`
+/// uses, recording the solver's per-layer split.
+pub fn measure_layers(entry: &CorpusEntry, max_expansion_depth: u32) -> LayerRow {
+    let compiled = compile(
+        &entry.combined_jmatch(),
+        &CompileOptions {
+            verify: false,
+            max_expansion_depth,
+        },
+    )
+    .expect("corpus entries parse");
+    let start = Instant::now();
+    let (_, stats) = verify_shared_session_with_stats(&compiled.table, max_expansion_depth);
+    LayerRow {
+        name: entry.name,
+        depth: max_expansion_depth,
+        verify: start.elapsed(),
+        stats,
+    }
+}
+
+/// Renders per-layer rows: verification time split into CDCL, LIA, EUF,
+/// lazy expansion and the rest (VC generation, encoding, bookkeeping).
+pub fn render_layers(rows: &[LayerRow]) -> String {
+    let ms = |d: Duration| format!("{:.1}", d.as_secs_f64() * 1e3);
+    let mut out = format!(
+        "{:<12} {:>5} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8}\n",
+        "Impl", "depth", "verify ms", "cdcl", "lia", "euf", "expand", "other", "lia+euf"
+    );
+    for r in rows {
+        let s = &r.stats;
+        let layers = s.sat_time + s.lia_time + s.euf_time + s.expand_time;
+        out.push_str(&format!(
+            "{:<12} {:>5} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>7.1}%\n",
+            r.name,
+            r.depth,
+            ms(r.verify),
+            ms(s.sat_time),
+            ms(s.lia_time),
+            ms(s.euf_time),
+            ms(s.expand_time),
+            ms(r.verify.saturating_sub(layers)),
+            r.theory_share() * 100.0,
+        ));
+    }
+    out
+}
+
 /// Verifies a resolved program through **one shared solver session** (the
 /// production path): a single term store, solver, and expander carry learned
 /// clauses, Tseitin encodings, and expansion lemmas across every VC query,
@@ -174,7 +249,7 @@ pub fn verify_shared_session(table: &Arc<ClassTable>, max_expansion_depth: u32) 
 pub fn verify_shared_session_with_stats(
     table: &Arc<ClassTable>,
     max_expansion_depth: u32,
-) -> (Diagnostics, jmatch_core::verify::SessionStats) {
+) -> (Diagnostics, SessionStats) {
     let verifier = Verifier::new(
         Arc::clone(table),
         VerifyOptions {
@@ -215,7 +290,7 @@ pub fn verify_fresh_per_method(table: &Arc<ClassTable>, max_expansion_depth: u32
 pub fn verify_fresh_per_method_with_stats(
     table: &Arc<ClassTable>,
     max_expansion_depth: u32,
-) -> (Diagnostics, jmatch_core::verify::SessionStats) {
+) -> (Diagnostics, SessionStats) {
     let verifier = Verifier::new(
         Arc::clone(table),
         VerifyOptions {
@@ -225,7 +300,7 @@ pub fn verify_fresh_per_method_with_stats(
         },
     );
     let mut diags = Diagnostics::new();
-    let mut stats = jmatch_core::verify::SessionStats::default();
+    let mut stats = SessionStats::default();
     let mut run = |owner, minfo, diags: &mut Diagnostics| {
         let mut sess = verifier.new_session();
         verifier.verify_method_in(&mut sess, owner, minfo, diags);

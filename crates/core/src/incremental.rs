@@ -567,6 +567,10 @@ fn stats_delta(after: SessionStats, before: SessionStats) -> SessionStats {
         sat_propagations: after
             .sat_propagations
             .saturating_sub(before.sat_propagations),
+        sat_time: after.sat_time.saturating_sub(before.sat_time),
+        lia_time: after.lia_time.saturating_sub(before.lia_time),
+        euf_time: after.euf_time.saturating_sub(before.euf_time),
+        expand_time: after.expand_time.saturating_sub(before.expand_time),
     }
 }
 

@@ -37,10 +37,11 @@ use crate::expand::JMatchExpander;
 use crate::extract;
 use crate::table::{ClassTable, MethodInfo, TypeInfo};
 use crate::vc::{Env, Seq, VcGen, F};
-use jmatch_smt::{SatResult, Solver, SolverConfig, TermId, TermStore};
+use jmatch_smt::{SatResult, Solver, SolverConfig, SolverStats, TermId, TermStore};
 use jmatch_syntax::ast::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Options controlling verification.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,6 +107,14 @@ pub struct SessionStats {
     pub sat_decisions: u64,
     /// CDCL unit propagations across the whole session.
     pub sat_propagations: u64,
+    /// Wall time in the CDCL core across all queries.
+    pub sat_time: Duration,
+    /// Wall time in linear-arithmetic checks across all queries.
+    pub lia_time: Duration,
+    /// Wall time in congruence-closure checks across all queries.
+    pub euf_time: Duration,
+    /// Wall time in lazy expansion across all queries.
+    pub expand_time: Duration,
 }
 
 impl SessionStats {
@@ -120,6 +129,21 @@ impl SessionStats {
         self.sat_conflicts += other.sat_conflicts;
         self.sat_decisions += other.sat_decisions;
         self.sat_propagations += other.sat_propagations;
+        self.sat_time += other.sat_time;
+        self.lia_time += other.lia_time;
+        self.euf_time += other.euf_time;
+        self.expand_time += other.expand_time;
+    }
+
+    /// Adds the per-query counters of one solver `check`.
+    fn add_query(&mut self, qs: SolverStats) {
+        self.rounds += qs.rounds;
+        self.theory_conflicts += qs.theory_conflicts;
+        self.lemmas += qs.lemmas;
+        self.sat_time += qs.sat_time;
+        self.lia_time += qs.lia_time;
+        self.euf_time += qs.euf_time;
+        self.expand_time += qs.expand_time;
     }
 }
 
@@ -269,10 +293,7 @@ impl Verifier {
             }
             let mut expander = JMatchExpander::new(self.gen.clone());
             let result = solver.check_with_expander(&mut sess.store, &mut expander);
-            let qs = solver.stats();
-            sess.stats.rounds += qs.rounds;
-            sess.stats.theory_conflicts += qs.theory_conflicts;
-            sess.stats.lemmas += qs.lemmas;
+            sess.stats.add_query(solver.stats());
             let (c, d, p) = solver.sat_counters();
             sess.stats.sat_conflicts += c;
             sess.stats.sat_decisions += d;
@@ -292,10 +313,7 @@ impl Verifier {
             .solver
             .check_with_expander(&mut sess.store, &mut sess.expander);
         sess.solver.pop();
-        let qs = sess.solver.stats();
-        sess.stats.rounds += qs.rounds;
-        sess.stats.theory_conflicts += qs.theory_conflicts;
-        sess.stats.lemmas += qs.lemmas;
+        sess.stats.add_query(sess.solver.stats());
         sess.cache.insert(key, result.clone());
         result
     }

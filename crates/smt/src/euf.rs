@@ -12,10 +12,21 @@
 //! * congruent uninterpreted *predicate* applications must not be assigned
 //!   opposite truth values.
 //!
+//! Congruence is found through a *signature table* keyed by
+//! `(symbol, [find(arg)…])` (Downey, Sethi & Tarjan, "Variations on the
+//! Common Subexpression Problem", JACM 1980): each closure round hashes every
+//! application once and merges it with the first application already holding
+//! its signature, and the predicate check is one more pass that records the
+//! polarity per signature and fails as soon as a signature is seen with both.
+//! A check is therefore linear in the relevant terms per closure round, not
+//! quadratic in the predicate atoms.
+//!
 //! The check is used as a post-model filter in the DPLL(T) loop: a conflict
 //! produces a blocking clause over the participating atoms.
 
+use crate::sym::Symbol;
 use crate::term::{TermData, TermId, TermStore};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 /// Result of an EUF consistency check.
@@ -66,8 +77,7 @@ impl UnionFind {
 /// Other atoms are ignored so the caller can pass its full atom assignment.
 pub fn check(store: &TermStore, assignments: &[AtomAssignment]) -> EufResult {
     let mut uf = UnionFind::default();
-    let mut equalities: Vec<(TermId, TermId, TermId)> = Vec::new(); // (a, b, origin atom)
-    let mut disequalities: Vec<(TermId, TermId, TermId)> = Vec::new();
+    let mut disequalities: Vec<(TermId, TermId)> = Vec::new();
     let mut predicates: Vec<(TermId, bool)> = Vec::new();
     let mut relevant_terms: HashSet<TermId> = HashSet::new();
 
@@ -77,9 +87,9 @@ pub fn check(store: &TermStore, assignments: &[AtomAssignment]) -> EufResult {
                 collect_subterms(store, *a, &mut relevant_terms);
                 collect_subterms(store, *b, &mut relevant_terms);
                 if value {
-                    equalities.push((*a, *b, atom));
+                    uf.union(*a, *b);
                 } else {
-                    disequalities.push((*a, *b, atom));
+                    disequalities.push((*a, *b));
                 }
             }
             TermData::App(..) => {
@@ -90,40 +100,25 @@ pub fn check(store: &TermStore, assignments: &[AtomAssignment]) -> EufResult {
         }
     }
 
-    // Distinct integer constants are never equal; seed them as relevant so a
-    // merged class containing two different constants is detected.
-    let int_constants: Vec<TermId> = relevant_terms
+    // Congruence closure to a fixed point: one signature-table pass per
+    // round merges every application with the first one sharing its key.
+    let apps: Vec<(TermId, Symbol, &[TermId])> = relevant_terms
         .iter()
-        .copied()
-        .filter(|t| matches!(store.data(*t), TermData::IntConst(_)))
+        .filter_map(|&t| match store.data(t) {
+            TermData::App(sym, args, _) => Some((t, *sym, args.as_slice())),
+            _ => None,
+        })
         .collect();
-
-    // Assert the equalities.
-    for &(a, b, _) in &equalities {
-        uf.union(a, b);
-    }
-
-    // Congruence closure to a fixed point.
-    let apps: Vec<TermId> = relevant_terms
-        .iter()
-        .copied()
-        .filter(|t| matches!(store.data(*t), TermData::App(..)))
-        .collect();
+    let mut table: HashMap<(Symbol, Vec<TermId>), TermId> = HashMap::new();
     loop {
         let mut changed = false;
-        // Group applications by (symbol, arity, representative args).
-        let mut table: HashMap<(usize, Vec<TermId>), TermId> = HashMap::new();
-        for &app in &apps {
-            if let TermData::App(sym, args, _) = store.data(app) {
-                let key_args: Vec<TermId> = args.iter().map(|&a| uf.find(a)).collect();
-                let key = (sym.index(), key_args);
-                if let Some(&other) = table.get(&key) {
-                    if uf.find(other) != uf.find(app) {
-                        uf.union(other, app);
-                        changed = true;
-                    }
-                } else {
-                    table.insert(key, app);
+        table.clear();
+        for &(app, sym, args) in &apps {
+            let key = (sym, args.iter().map(|&a| uf.find(a)).collect());
+            match table.entry(key) {
+                Entry::Occupied(e) => changed |= uf.union(*e.get(), app),
+                Entry::Vacant(e) => {
+                    e.insert(app);
                 }
             }
         }
@@ -132,32 +127,35 @@ pub fn check(store: &TermStore, assignments: &[AtomAssignment]) -> EufResult {
         }
     }
 
-    let involved: Vec<TermId> = assignments.iter().map(|&(a, _)| a).collect();
+    let inconsistent = || EufResult::Inconsistent(assignments.iter().map(|&(a, _)| a).collect());
 
     // Check disequalities.
-    for &(a, b, _) in &disequalities {
+    for &(a, b) in &disequalities {
         if uf.find(a) == uf.find(b) {
-            return EufResult::Inconsistent(involved);
+            return inconsistent();
         }
     }
 
-    // Check distinct integer constants.
-    for i in 0..int_constants.len() {
-        for j in (i + 1)..int_constants.len() {
-            if uf.find(int_constants[i]) == uf.find(int_constants[j]) {
-                return EufResult::Inconsistent(involved);
-            }
+    // Distinct integer constants are never equal: a class may hold at most
+    // one of the relevant constants (they are hash-consed, so distinct ids
+    // are distinct values).
+    let mut constant_of: HashMap<TermId, TermId> = HashMap::new();
+    for &t in &relevant_terms {
+        if matches!(store.data(t), TermData::IntConst(_))
+            && constant_of.insert(uf.find(t), t).is_some()
+        {
+            return inconsistent();
         }
     }
 
-    // Check predicate congruence: two congruent predicate applications must
-    // not carry opposite truth values.
-    for i in 0..predicates.len() {
-        for j in (i + 1)..predicates.len() {
-            let (p, vp) = predicates[i];
-            let (q, vq) = predicates[j];
-            if vp != vq && congruent(store, &mut uf, p, q) {
-                return EufResult::Inconsistent(involved);
+    // Predicate congruence: applications with the same signature
+    // `(symbol, [find(arg)…])` must not carry opposite truth values.
+    let mut polarity: HashMap<(Symbol, Vec<TermId>), bool> = HashMap::new();
+    for &(p, value) in &predicates {
+        if let TermData::App(sym, args, _) = store.data(p) {
+            let key = (*sym, args.iter().map(|&a| uf.find(a)).collect());
+            if *polarity.entry(key).or_insert(value) != value {
+                return inconsistent();
             }
         }
     }
@@ -201,27 +199,13 @@ pub fn classes(store: &TermStore, assignments: &[AtomAssignment]) -> HashMap<Ter
     reps
 }
 
-fn congruent(store: &TermStore, uf: &mut UnionFind, p: TermId, q: TermId) -> bool {
-    match (store.data(p).clone(), store.data(q).clone()) {
-        (TermData::App(sp, ap, _), TermData::App(sq, aq, _)) => {
-            sp == sq
-                && ap.len() == aq.len()
-                && ap
-                    .iter()
-                    .zip(aq.iter())
-                    .all(|(&x, &y)| uf.find(x) == uf.find(y))
-        }
-        _ => false,
-    }
-}
-
 fn collect_subterms(store: &TermStore, t: TermId, out: &mut HashSet<TermId>) {
     if !out.insert(t) {
         return;
     }
-    match store.data(t).clone() {
-        TermData::App(_, args, _) => {
-            for a in args {
+    match store.data(t) {
+        TermData::App(_, args, _) | TermData::And(args) | TermData::Or(args) => {
+            for &a in args {
                 collect_subterms(store, a, out);
             }
         }
@@ -232,16 +216,11 @@ fn collect_subterms(store: &TermStore, t: TermId, out: &mut HashSet<TermId>) {
         | TermData::Eq(a, b)
         | TermData::Implies(a, b)
         | TermData::Iff(a, b) => {
-            collect_subterms(store, a, out);
-            collect_subterms(store, b, out);
+            collect_subterms(store, *a, out);
+            collect_subterms(store, *b, out);
         }
         TermData::Neg(a) | TermData::MulConst(_, a) | TermData::Not(a) => {
-            collect_subterms(store, a, out)
-        }
-        TermData::And(xs) | TermData::Or(xs) => {
-            for x in xs {
-                collect_subterms(store, x, out);
-            }
+            collect_subterms(store, *a, out)
         }
         TermData::BoolConst(_) | TermData::IntConst(_) | TermData::Var(..) => {}
     }
@@ -251,6 +230,7 @@ fn collect_subterms(store: &TermStore, t: TermId, out: &mut HashSet<TermId>) {
 mod tests {
     use super::*;
     use crate::sorts::Sort;
+    use crate::testutil::XorShift;
 
     fn obj_sort(store: &mut TermStore) -> Sort {
         let s = store.symbol("Nat");
@@ -336,6 +316,143 @@ mod tests {
         let egg = s.eq(gfx, gfy);
         let r = check(&s, &[(exy, true), (egg, false)]);
         assert!(matches!(r, EufResult::Inconsistent(_)));
+    }
+
+    /// Independent oracle: merge pairwise to a fixpoint (asserted
+    /// equalities, then any two applications of one symbol whose arguments
+    /// are already equal), then compare every disequality and every pair of
+    /// predicate applications.
+    fn naive_consistent(s: &TermStore, assignments: &[AtomAssignment]) -> bool {
+        let mut terms = HashSet::new();
+        for &(atom, _) in assignments {
+            collect_subterms(s, atom, &mut terms);
+        }
+        let mut class: HashMap<TermId, TermId> = terms.iter().map(|&t| (t, t)).collect();
+        let merge = |class: &mut HashMap<TermId, TermId>, a: TermId, b: TermId| {
+            let (ca, cb) = (class[&a], class[&b]);
+            if ca == cb {
+                return false;
+            }
+            for c in class.values_mut() {
+                if *c == cb {
+                    *c = ca;
+                }
+            }
+            true
+        };
+        let apps: Vec<(TermId, Symbol, Vec<TermId>)> = terms
+            .iter()
+            .filter_map(|&t| match s.data(t) {
+                TermData::App(f, args, _) => Some((t, *f, args.clone())),
+                _ => None,
+            })
+            .collect();
+        let same_args = |class: &HashMap<TermId, TermId>, x: &[TermId], y: &[TermId]| {
+            x.len() == y.len() && x.iter().zip(y).all(|(a, b)| class[a] == class[b])
+        };
+        loop {
+            let mut changed = false;
+            for &(atom, value) in assignments {
+                if let (TermData::Eq(a, b), true) = (s.data(atom), value) {
+                    changed |= merge(&mut class, *a, *b);
+                }
+            }
+            for (t, f, xs) in &apps {
+                for (u, g, ys) in &apps {
+                    if f == g && same_args(&class, xs, ys) {
+                        changed |= merge(&mut class, *t, *u);
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        for &(atom, value) in assignments {
+            if let (TermData::Eq(a, b), false) = (s.data(atom), value) {
+                if class[a] == class[b] {
+                    return false;
+                }
+            }
+        }
+        for &(p, vp) in assignments {
+            for &(q, vq) in assignments {
+                if let (TermData::App(f, xs, _), TermData::App(g, ys, _)) = (s.data(p), s.data(q)) {
+                    if vp != vq && f == g && same_args(&class, xs, ys) {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    #[test]
+    fn random_mixes_agree_with_naive_closure() {
+        // Seeded mixes of (dis)equalities and unary/binary predicates over at
+        // most 5 constants and nested applications of the unary/binary
+        // functions `f`/`g`.
+        let mut rng = XorShift(0x0e0f_2026);
+        let (mut consistent, mut inconsistent) = (0, 0);
+        for _ in 0..400 {
+            let mut s = TermStore::new();
+            let so = obj_sort(&mut s);
+            let n = rng.range(2, 6) as usize;
+            let mut pool: Vec<TermId> = (0..n).map(|i| s.var(&format!("c{i}"), so)).collect();
+            for _ in 0..rng.range(0, 5) {
+                let a = pool[rng.range(0, pool.len() as i64) as usize];
+                pool.push(s.app("f", vec![a], so));
+            }
+            for _ in 0..rng.range(0, 3) {
+                let a = pool[rng.range(0, pool.len() as i64) as usize];
+                let b = pool[rng.range(0, pool.len() as i64) as usize];
+                pool.push(s.app("g", vec![a, b], so));
+            }
+            let pick = |rng: &mut XorShift| pool[rng.range(0, pool.len() as i64) as usize];
+            let mut atoms: Vec<AtomAssignment> = Vec::new();
+            for _ in 0..rng.range(2, 14) {
+                let atom = match rng.range(0, 4) {
+                    0 | 1 => {
+                        let (a, b) = (pick(&mut rng), pick(&mut rng));
+                        if a == b {
+                            continue;
+                        }
+                        s.eq(a, b)
+                    }
+                    2 => {
+                        let a = pick(&mut rng);
+                        s.app("p", vec![a], Sort::Bool)
+                    }
+                    _ => {
+                        let (a, b) = (pick(&mut rng), pick(&mut rng));
+                        s.app("q", vec![a, b], Sort::Bool)
+                    }
+                };
+                if atoms.iter().all(|&(t, _)| t != atom) {
+                    atoms.push((atom, rng.chance(60)));
+                }
+            }
+            let expected = naive_consistent(&s, &atoms);
+            let got = check(&s, &atoms) == EufResult::Consistent;
+            assert_eq!(
+                got,
+                expected,
+                "{:?}",
+                atoms
+                    .iter()
+                    .map(|&(a, v)| (s.display(a), v))
+                    .collect::<Vec<_>>()
+            );
+            if got {
+                consistent += 1;
+            } else {
+                inconsistent += 1;
+            }
+        }
+        assert!(
+            consistent >= 50 && inconsistent >= 50,
+            "{consistent}/{inconsistent}"
+        );
     }
 
     #[test]

@@ -8,19 +8,34 @@
 //! 1. every atom is normalized into `Σ aᵢ·xᵢ ≤ c` form with integer
 //!    coefficients (strict inequalities over integers become non-strict by
 //!    subtracting one),
-//! 2. rational feasibility is decided by Fourier–Motzkin elimination with
-//!    integer bound tightening,
-//! 3. a sample point is produced by back-substitution, preferring integral
+//! 2. the constraints and disequalities are split into variable-connected
+//!    components (union-find over the variables each row mentions; rows
+//!    without variables form one extra component), which are solved
+//!    independently and whose models are merged — the independent-subproblem
+//!    decomposition of DPLL(T) arithmetic (Dutertre & de Moura, "A Fast
+//!    Linear-Arithmetic Solver for DPLL(T)", CAV 2006),
+//! 3. within a component, rational feasibility is decided by Fourier–Motzkin
+//!    elimination with integer bound tightening, over dense rows and in
+//!    ascending variable order,
+//! 4. a sample point is produced by back-substitution, preferring integral
 //!    values, and
-//! 4. branch-and-bound splits on fractional values and on violated
-//!    disequalities until an integer model is found or a branching budget is
-//!    exhausted.
+//! 5. branch-and-bound splits on the lowest-id fractional variable and on
+//!    violated disequalities until an integer model is found or the
+//!    branching budget is exhausted.
 //!
-//! The branching budget makes the procedure incomplete in the usual way
-//! (Presburger-hard corner cases return [`LiaResult::Unknown`]); the JMatch
-//! compiler treats `Unknown` as "could not find a counterexample, but there
-//! might be one", exactly as the paper describes for iterative-deepening
-//! timeouts (§6.2).
+//! Components share no variable, so each one's elimination — and so its
+//! rational model — is exactly what eliminating the whole system in the same
+//! variable order would give for its variables; the split only stops every
+//! elimination step from scanning rows of unrelated components.
+//!
+//! The branching budget (8000 search nodes per [`check`] call) is
+//! charged once for the root and once per branch node in any component, so
+//! the number of components alone never exhausts it. It makes the procedure
+//! incomplete in the usual way (Presburger-hard corner cases return
+//! [`LiaResult::Unknown`]); the JMatch compiler treats `Unknown` as "could
+//! not find a counterexample, but there might be one", exactly as the paper
+//! describes for iterative-deepening timeouts (§6.2). An `Infeasible` answer
+//! always names every input atom; the solver minimizes the conflict itself.
 
 use crate::rational::Rat;
 use crate::term::{TermData, TermId, TermStore};
@@ -128,7 +143,7 @@ pub type AtomAssignment = (TermId, bool);
 /// theories must be filtered out by the caller.
 pub fn check(store: &TermStore, assignments: &[AtomAssignment]) -> LiaResult {
     let mut constraints: Vec<Constraint> = Vec::new();
-    let mut disequalities: Vec<(LinExpr, TermId)> = Vec::new();
+    let mut disequalities: Vec<Diseq> = Vec::new();
 
     for &(atom, value) in assignments {
         match store.data(atom) {
@@ -177,19 +192,98 @@ pub fn check(store: &TermStore, assignments: &[AtomAssignment]) -> LiaResult {
         }
     }
 
+    // The root search node is charged once per query; every branch node
+    // after it, in whichever component, draws from the same budget.
     let mut budget = Budget {
-        remaining: 8_000,
+        remaining: BRANCH_BUDGET,
         exhausted: false,
     };
-    let result = solve_rec(&constraints, &disequalities, &mut budget);
-    match result {
-        Some(model) => LiaResult::Feasible(model),
-        None if budget.exhausted => LiaResult::Unknown,
-        None => {
-            let involved: Vec<TermId> = assignments.iter().map(|&(a, _)| a).collect();
-            LiaResult::Infeasible(involved)
+    budget.spend();
+    let mut model: HashMap<TermId, i64> = HashMap::new();
+    for (rows, diseqs) in components(constraints, disequalities) {
+        match solve_rec(&rows, &diseqs, &mut budget) {
+            Some(m) => model.extend(m),
+            None if budget.exhausted => return LiaResult::Unknown,
+            None => {
+                let involved: Vec<TermId> = assignments.iter().map(|&(a, _)| a).collect();
+                return LiaResult::Infeasible(involved);
+            }
         }
     }
+    LiaResult::Feasible(model)
+}
+
+/// Search nodes branch-and-bound may visit per [`check`] call.
+const BRANCH_BUDGET: u64 = 8_000;
+
+type Diseq = (LinExpr, TermId);
+
+/// Splits a system into independent subproblems: constraints and
+/// disequalities that share no variable can be solved separately, and their
+/// models merged. Constant-only rows form one extra component (first, so a
+/// trivially false row is found before any elimination). Components come out
+/// in order of first appearance; within one, rows keep their input order.
+fn components(
+    constraints: Vec<Constraint>,
+    disequalities: Vec<Diseq>,
+) -> Vec<(Vec<Constraint>, Vec<Diseq>)> {
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    // Union-find over the variables, densely indexed; each row remembers one
+    // of its variables, or none.
+    let mut index: HashMap<TermId, usize> = HashMap::new();
+    let mut parent: Vec<usize> = Vec::new();
+    let supports = constraints
+        .iter()
+        .map(|c| &c.coeffs)
+        .chain(disequalities.iter().map(|(e, _)| &e.coeffs));
+    let mut first_var: Vec<Option<usize>> = Vec::new();
+    for coeffs in supports {
+        let mut first = None;
+        for &v in coeffs.keys() {
+            let fresh = parent.len();
+            let i = *index.entry(v).or_insert(fresh);
+            if i == fresh {
+                parent.push(i);
+            }
+            match first {
+                None => first = Some(i),
+                Some(f) => {
+                    let (rf, ri) = (find(&mut parent, f), find(&mut parent, i));
+                    parent[ri] = rf;
+                }
+            }
+        }
+        first_var.push(first);
+    }
+
+    // Slot 0 holds the constant-only rows; variable components follow.
+    let mut slot_of_root: HashMap<usize, usize> = HashMap::new();
+    let slots: Vec<usize> = first_var
+        .into_iter()
+        .map(|v| match v {
+            None => 0,
+            Some(i) => {
+                let next = slot_of_root.len() + 1;
+                *slot_of_root.entry(find(&mut parent, i)).or_insert(next)
+            }
+        })
+        .collect();
+    let mut out: Vec<(Vec<Constraint>, Vec<Diseq>)> = Vec::new();
+    out.resize_with(slot_of_root.len() + 1, Default::default);
+    let (row_slots, diseq_slots) = slots.split_at(constraints.len());
+    for (c, &s) in constraints.into_iter().zip(row_slots) {
+        out[s].0.push(c);
+    }
+    for (d, &s) in disequalities.into_iter().zip(diseq_slots) {
+        out[s].1.push(d);
+    }
+    out
 }
 
 fn from_expr(e: LinExpr, slack: i64) -> Constraint {
@@ -216,46 +310,42 @@ impl Budget {
     }
 }
 
-/// Recursive branch-and-bound search. Returns an integer model or `None`.
+/// Recursive branch-and-bound search over one component. Returns an integer
+/// model or `None`.
 fn solve_rec(
     constraints: &[Constraint],
-    disequalities: &[(LinExpr, TermId)],
+    disequalities: &[Diseq],
     budget: &mut Budget,
 ) -> Option<HashMap<TermId, i64>> {
-    if !budget.spend() {
-        return None;
-    }
     let rational = fourier_motzkin(constraints)?;
 
-    // Try to round the rational model into an integer model.
-    let mut int_model: HashMap<TermId, i64> = HashMap::new();
-    let mut fractional: Option<(TermId, Rat)> = None;
-    for (&var, &val) in &rational {
-        match val.as_integer() {
-            Some(i) => {
-                int_model.insert(var, i as i64);
-            }
-            None => {
-                if fractional.is_none() {
-                    fractional = Some((var, val));
-                }
-            }
-        }
-    }
-
-    if let Some((var, val)) = fractional {
+    // Branch on the lowest-id fractional variable, so the search (and the
+    // model it ends in) does not depend on hash iteration order.
+    if let Some((&var, val)) = rational
+        .iter()
+        .filter(|(_, v)| v.as_integer().is_none())
+        .min_by_key(|(&var, _)| var)
+    {
         // Branch: var <= floor(val)  or  var >= ceil(val).
-        let lo = val.floor() as i64;
-        let hi = val.ceil() as i64;
-        let mut left = constraints.to_vec();
-        left.push(single_var_le(var, lo));
-        if let Some(m) = solve_rec(&left, disequalities, budget) {
-            return Some(m);
-        }
-        let mut right = constraints.to_vec();
-        right.push(single_var_ge(var, hi));
-        return solve_rec(&right, disequalities, budget);
+        return branch(
+            constraints,
+            single_var_le(var, val.floor() as i64),
+            disequalities,
+            budget,
+        )
+        .or_else(|| {
+            branch(
+                constraints,
+                single_var_ge(var, val.ceil() as i64),
+                disequalities,
+                budget,
+            )
+        });
     }
+    let int_model: HashMap<TermId, i64> = rational
+        .into_iter()
+        .map(|(var, val)| (var, val.as_integer().expect("integral") as i64))
+        .collect();
 
     // All values integral; check disequalities.
     for (expr, _origin) in disequalities {
@@ -265,26 +355,35 @@ fn solve_rec(
         }
         if v == 0 {
             // Violated: expr = 0. Branch expr <= -1 or expr >= 1.
-            let mut left = constraints.to_vec();
-            left.push(Constraint {
+            let below = Constraint {
                 coeffs: expr.coeffs.clone(),
                 bound: -expr.constant - 1,
-            });
-            if let Some(m) = solve_rec(&left, disequalities, budget) {
-                return Some(m);
-            }
-            let mut right = constraints.to_vec();
-            let negated: HashMap<TermId, i64> =
-                expr.coeffs.iter().map(|(&k, &v)| (k, -v)).collect();
-            right.push(Constraint {
-                coeffs: negated,
+            };
+            let above = Constraint {
+                coeffs: expr.coeffs.iter().map(|(&k, &v)| (k, -v)).collect(),
                 bound: expr.constant - 1,
-            });
-            return solve_rec(&right, disequalities, budget);
+            };
+            return branch(constraints, below, disequalities, budget)
+                .or_else(|| branch(constraints, above, disequalities, budget));
         }
     }
 
     Some(int_model)
+}
+
+/// One branch node: `constraints` plus the cut, charged to the budget.
+fn branch(
+    constraints: &[Constraint],
+    cut: Constraint,
+    disequalities: &[Diseq],
+    budget: &mut Budget,
+) -> Option<HashMap<TermId, i64>> {
+    if !budget.spend() {
+        return None;
+    }
+    let mut sub = constraints.to_vec();
+    sub.push(cut);
+    solve_rec(&sub, disequalities, budget)
 }
 
 fn single_var_le(var: TermId, bound: i64) -> Constraint {
@@ -496,6 +595,7 @@ fn choose_value(lower: Option<Rat>, upper: Option<Rat>) -> Rat {
 mod tests {
     use super::*;
     use crate::sorts::Sort;
+    use crate::testutil::XorShift;
 
     fn int_var(store: &mut TermStore, name: &str) -> TermId {
         store.var(name, Sort::Int)
@@ -669,26 +769,6 @@ mod tests {
         }
     }
 
-    /// Tiny deterministic xorshift generator so the randomized property test
-    /// does not need an external RNG crate.
-    struct XorShift(u64);
-    impl XorShift {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.0 = x;
-            x
-        }
-        fn range(&mut self, lo: i64, hi: i64) -> i64 {
-            lo + (self.next() % ((hi - lo) as u64)) as i64
-        }
-        fn chance(&mut self, percent: u64) -> bool {
-            self.next() % 100 < percent
-        }
-    }
-
     #[test]
     fn model_satisfies_all_constraints_property() {
         // A small randomized property: generate constraint systems and check
@@ -716,6 +796,142 @@ mod tests {
                     assert_eq!(holds, val, "model violates atom {}", s.display(atom));
                 }
             }
+        }
+    }
+
+    /// `Σ coeffs·vars` with every variable present (a zero coefficient
+    /// still yields a term), so the sum is never a bare constant.
+    fn combination(s: &mut TermStore, coeffs: &[i64], vars: &[TermId]) -> TermId {
+        let mut terms = coeffs.iter().zip(vars).map(|(&c, &v)| s.mul_const(c, v));
+        let first = terms.next().expect("at least one variable");
+        let rest: Vec<TermId> = terms.collect();
+        rest.into_iter().fold(first, |acc, t| s.add(acc, t))
+    }
+
+    #[test]
+    fn random_systems_agree_with_box_enumeration() {
+        // Seeded systems over at most 4 variables, boxed to [-4, 4]: an
+        // `Infeasible` answer must leave no integer point of the box, and a
+        // `Feasible` model must satisfy every input atom. Atoms mention
+        // random variable subsets, so the systems split into components.
+        let mut rng = XorShift(0x5eed_1a11);
+        let (mut feasible, mut infeasible) = (0, 0);
+        for _ in 0..300 {
+            let mut s = TermStore::new();
+            let n = rng.range(1, 5) as usize;
+            let vars: Vec<TermId> = (0..n).map(|i| s.var(&format!("v{i}"), Sort::Int)).collect();
+            let (lo, hi) = (s.int(-4), s.int(4));
+            let mut atoms = Vec::new();
+            for &v in &vars {
+                atoms.push((s.le(lo, v), true));
+                atoms.push((s.le(v, hi), true));
+            }
+            for _ in 0..rng.range(1, 6) {
+                let picked: Vec<TermId> = vars.iter().copied().filter(|_| rng.chance(60)).collect();
+                if picked.is_empty() {
+                    continue;
+                }
+                let coeffs: Vec<i64> = picked.iter().map(|_| rng.range(-3, 4)).collect();
+                let e = combination(&mut s, &coeffs, &picked);
+                let k = s.int(rng.range(-4, 5));
+                let atom = match rng.range(0, 3) {
+                    0 => s.le(e, k),
+                    1 => s.lt(e, k),
+                    _ => s.eq(e, k),
+                };
+                atoms.push((atom, rng.chance(70)));
+            }
+            match check(&s, &atoms) {
+                LiaResult::Feasible(m) => {
+                    feasible += 1;
+                    for &(atom, val) in &atoms {
+                        assert_eq!(eval_atom(&s, atom, &m), val, "{}", s.display(atom));
+                    }
+                }
+                LiaResult::Infeasible(_) => {
+                    infeasible += 1;
+                    let points = 9usize.pow(n as u32);
+                    for code in 0..points {
+                        let m: HashMap<TermId, i64> = vars
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &v)| (v, (code / 9usize.pow(i as u32) % 9) as i64 - 4))
+                            .collect();
+                        assert!(
+                            !atoms.iter().all(|&(a, val)| eval_atom(&s, a, &m) == val),
+                            "reported infeasible, but {m:?} satisfies every atom"
+                        );
+                    }
+                }
+                LiaResult::Unknown => panic!("small boxed system came back Unknown"),
+            }
+        }
+        assert!(
+            feasible >= 50 && infeasible >= 50,
+            "{feasible}/{infeasible}"
+        );
+    }
+
+    #[test]
+    fn branch_and_bound_models_are_deterministic() {
+        // Rationally, v0 and v1 both come out fractional, and the integer
+        // model reached depends on which one is branched on first. Every run
+        // on a fresh store must branch the same way.
+        let run = || {
+            let mut s = TermStore::new();
+            let v: Vec<TermId> = (0..3).map(|i| s.var(&format!("v{i}"), Sort::Int)).collect();
+            let (lo, hi, zero) = (s.int(-4), s.int(4), s.int(0));
+            let mut atoms = Vec::new();
+            for &x in &v {
+                atoms.push((s.le(lo, x), true));
+                atoms.push((s.le(x, hi), true));
+            }
+            let e1 = combination(&mut s, &[1, 2], &v[..2]);
+            atoms.push((s.eq(e1, zero), true));
+            let e2 = combination(&mut s, &[-1, 3, 2], &v);
+            let two = s.int(2);
+            atoms.push((s.le(e2, two), true));
+            let e3 = combination(&mut s, &[2, -1, 2], &v);
+            let minus_two = s.int(-2);
+            atoms.push((s.le(e3, minus_two), true));
+            match check(&s, &atoms) {
+                LiaResult::Feasible(m) => v.iter().map(|x| m[x]).collect::<Vec<i64>>(),
+                other => panic!("expected feasible, got {other:?}"),
+            }
+        };
+        let first = run();
+        for _ in 0..50 {
+            assert_eq!(run(), first);
+        }
+    }
+
+    #[test]
+    fn many_components_share_one_branch_budget() {
+        // 9000 independent bounded variables plus one component that only
+        // becomes integral after branching (x = 1/2 rationally). The budget
+        // counts branch nodes, so the component count alone cannot exhaust
+        // it.
+        let mut s = TermStore::new();
+        let mut atoms = Vec::new();
+        let x = s.var("x", Sort::Int);
+        let y = s.var("y", Sort::Int);
+        let (one, two) = (s.int(1), s.int(2));
+        let two_x = s.mul_const(2, x);
+        atoms.push((s.le(one, y), true));
+        atoms.push((s.le(y, two), true));
+        atoms.push((s.le(two_x, y), true));
+        atoms.push((s.le(y, two_x), true));
+        for i in 0..9000 {
+            let v = s.var(&format!("c{i}"), Sort::Int);
+            let bound = s.int(i);
+            atoms.push((s.le(v, bound), true));
+        }
+        match check(&s, &atoms) {
+            LiaResult::Feasible(m) => {
+                assert_eq!((m[&x], m[&y]), (1, 2));
+                assert_eq!(m.len(), 9002);
+            }
+            other => panic!("expected feasible, got {other:?}"),
         }
     }
 

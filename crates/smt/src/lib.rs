@@ -40,8 +40,8 @@
 //! | [`term`] | hash-consed terms, formulas, sorts |
 //! | [`sat`] | CDCL propositional core |
 //! | [`cnf`] | incremental Tseitin encoding |
-//! | [`lia`] | linear integer arithmetic (Fourier–Motzkin + branch-and-bound) |
-//! | [`euf`] | congruence closure for equality and uninterpreted functions |
+//! | [`lia`] | linear integer arithmetic (per-component Fourier–Motzkin + branch-and-bound) |
+//! | [`euf`] | congruence closure over a signature table, for equality and uninterpreted functions |
 //! | [`plugin`] | lazy expansion hooks (Z3 external-theory analog) |
 //! | [`pool`] | scoped worker pool for sharding independent solver sessions |
 //! | [`solver`] | the DPLL(T) loop with iterative deepening |
@@ -73,6 +73,9 @@ pub mod solver;
 pub mod sorts;
 pub mod sym;
 pub mod term;
+
+#[cfg(test)]
+mod testutil;
 
 pub use model::Model;
 pub use plugin::{Expansion, LazyExpander, NoExpansion};

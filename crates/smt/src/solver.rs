@@ -67,6 +67,7 @@ use crate::sat::{Lit, SatOutcome, SatSolver};
 use crate::sorts::Sort;
 use crate::term::{TermData, TermId, TermStore};
 use std::collections::{HashMap, HashSet};
+use std::time::{Duration, Instant};
 
 /// Result of an SMT query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,6 +137,17 @@ pub struct SolverStats {
     pub lemmas_replayed: u64,
     /// Deepest expansion level reached.
     pub max_depth_reached: u32,
+    /// Wall time in the CDCL core.
+    pub sat_time: Duration,
+    /// Wall time in linear-arithmetic checks, including conflict
+    /// minimization and blocking.
+    pub lia_time: Duration,
+    /// Wall time in congruence-closure checks, including conflict
+    /// minimization, blocking and model classes.
+    pub euf_time: Duration,
+    /// Wall time in lazy expansion: plugin calls, lemma replay and lemma
+    /// encoding.
+    pub expand_time: Duration,
 }
 
 /// An incremental SMT solver session.
@@ -345,9 +357,11 @@ impl Solver {
             if rounds > self.config.max_rounds {
                 return SatResult::Unknown;
             }
-            match self.sat.solve() {
-                SatOutcome::Unsat => return SatResult::Unsat,
-                SatOutcome::Sat => {}
+            let clock = Instant::now();
+            let outcome = self.sat.solve();
+            self.stats.sat_time += clock.elapsed();
+            if outcome == SatOutcome::Unsat {
+                return SatResult::Unsat;
             }
 
             // Gather the relevant part of the atom assignment chosen by the
@@ -372,6 +386,7 @@ impl Solver {
                 .collect();
 
             // Linear integer arithmetic.
+            let clock = Instant::now();
             let mut lia_unknown = false;
             let mut lia_model: HashMap<TermId, i64> = HashMap::new();
             match lia::check(store, &arith) {
@@ -381,29 +396,32 @@ impl Solver {
                         matches!(lia::check(s, sub), LiaResult::Infeasible(_))
                     });
                     self.block(store, &core);
+                    self.stats.lia_time += clock.elapsed();
                     continue;
                 }
                 LiaResult::Unknown => lia_unknown = true,
                 LiaResult::Feasible(m) => lia_model = m,
             }
+            self.stats.lia_time += clock.elapsed();
 
             // Equality and uninterpreted functions.
-            match euf::check(store, &equality) {
-                EufResult::Inconsistent(_) => {
-                    self.stats.theory_conflicts += 1;
-                    let core = self.minimize(store, &equality, |s, sub| {
-                        matches!(euf::check(s, sub), EufResult::Inconsistent(_))
-                    });
-                    self.block(store, &core);
-                    continue;
-                }
-                EufResult::Consistent => {}
+            let clock = Instant::now();
+            if let EufResult::Inconsistent(_) = euf::check(store, &equality) {
+                self.stats.theory_conflicts += 1;
+                let core = self.minimize(store, &equality, |s, sub| {
+                    matches!(euf::check(s, sub), EufResult::Inconsistent(_))
+                });
+                self.block(store, &core);
+                self.stats.euf_time += clock.elapsed();
+                continue;
             }
+            self.stats.euf_time += clock.elapsed();
 
             // Lazy expansion of interpreted predicates. Guards already seen
             // by this session replay their cached lemmas without consulting
             // the plugin; new guards are expanded and their (polarity-
             // guarded) lemmas cached for the rest of the session.
+            let clock = Instant::now();
             let mut new_lemmas: Vec<(TermId, TermId, u32, bool)> = Vec::new();
             let mut beyond_depth = false;
             for &(atom, value) in &assignment {
@@ -488,8 +506,10 @@ impl Solver {
                     rel_sorted = relevant.iter().copied().collect();
                     rel_sorted.sort_unstable();
                 }
+                self.stats.expand_time += clock.elapsed();
                 continue;
             }
+            self.stats.expand_time += clock.elapsed();
 
             if beyond_depth || lia_unknown {
                 // Some fact could not be expanded within the depth budget (or
@@ -503,7 +523,9 @@ impl Solver {
                 model.bools.insert(t, v);
             }
             model.ints = lia_model;
+            let clock = Instant::now();
             model.object_classes = euf::classes(store, &equality);
+            self.stats.euf_time += clock.elapsed();
             return SatResult::Sat(model);
         }
     }

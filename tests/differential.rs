@@ -258,3 +258,132 @@ fn limits_are_honored_identically_by_both_engines() {
         );
     }
 }
+
+/// Formula shapes the plan engine compiles into sub-entries of a form's
+/// code or into a goal of their own: negation (`!f`), `p where f` in a
+/// formula and as a `switch` case pattern, a conjunction the lowering can
+/// only schedule at run time, and `let` / `if` / `cond` / `foreach` /
+/// `while` statements over disjunctions.
+const MOVED_SHAPES: &str = r#"
+    class Shapes {
+        int v;
+        constructor of(int n) returns(n) ( v = n )
+        boolean odd(int x) iterates(x) ( x = 0 # 1 # 2 # 3 # 4 # 5 && !(x = 0 # 2 # 4) )
+        boolean big(int n, int x) iterates(x)
+            ( (int y where (y > 3 && x = y * 2)) = n # n + 1 # n + 2 )
+        boolean sched(int z) iterates(z) ( (z = 1 # 2 || true) && z < 5 && z = 3 # 4 # 1 )
+    }
+    static int classify(int n) {
+        switch (n) {
+            case int k where (k > 10 && k < 20): return 1;
+            case int k where (k = 0 # 1 || k = 7): return 2;
+            default: return 3;
+        }
+    }
+    static int dynlet(int n) {
+        let ((int w = n # n + 1 || true) && w < 5 && w = 3 # 4);
+        return w;
+    }
+    static int stmts(int n) {
+        int total = 0;
+        foreach (int x = n # n + 1 # n + 2 || int x = 10 # 20) {
+            total = total + x;
+        }
+        if (total > 100 || total = 0 # 33) {
+            total = total + 1000;
+        } else {
+            total = total - 1;
+        }
+        if (!(total = 1033 # 44)) {
+            total = total + 2;
+        }
+        cond {
+            (total < 0 || total > 5000) { total = total * 2; }
+            (total = 3 # 4 || total > 20) { total = total + 7; }
+            else { total = 0; }
+        }
+        int i = 0;
+        while (i < n || i = 0 # 1) {
+            i = i + 1;
+            total = total + i;
+        }
+        while (!(i = n + 3)) {
+            i = i + 1;
+        }
+        return total + i;
+    }
+"#;
+
+fn solution_texts(s: jmatch::Solutions<'_>) -> (Vec<String>, bool) {
+    let mut s = s;
+    let items: Vec<String> = s
+        .by_ref()
+        .map(|b| {
+            let mut pairs: Vec<String> = b.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            pairs.sort();
+            pairs.join(",")
+        })
+        .collect();
+    (items, s.take_error().is_some())
+}
+
+#[test]
+fn moved_formula_shapes_agree_across_engines() {
+    let (plan, tree) = engines_for(MOVED_SHAPES);
+    // Forward calls: the statement goals and the forward solved forms.
+    for n in -1..6i64 {
+        for name in ["classify", "dynlet", "stmts"] {
+            let call = |p: &Program| p.free_method(name).unwrap().call(None, args![n]);
+            let (a, b) = (call(&plan), call(&tree));
+            assert_eq!(a.is_ok(), b.is_ok(), "{name}({n}): {a:?} vs {b:?}");
+            if let (Ok(a), Ok(b)) = (a, b) {
+                assert_eq!(a, b, "{name}({n})");
+            }
+        }
+        for name in ["odd", "sched"] {
+            let call = |p: &Program| {
+                let obj = p.ctor("Shapes", "of").unwrap().construct(args![n])?;
+                p.method("Shapes", name).unwrap().call(Some(&obj), args![n])
+            };
+            let (a, b) = (call(&plan), call(&tree));
+            assert_eq!(a.is_ok(), b.is_ok(), "{name}({n}): {a:?} vs {b:?}");
+            if let (Ok(a), Ok(b)) = (a, b) {
+                assert_eq!(a, b, "{name}({n})");
+            }
+        }
+        for s in [11i64, 15, 25] {
+            let call = |p: &Program| p.free_method("classify").unwrap().call(None, args![s]);
+            assert_eq!(call(&plan).unwrap(), call(&tree).unwrap(), "classify({s})");
+        }
+    }
+    // Enumerations: the machine and the OR-parallel pool against the
+    // tree-walker, on iterative-mode queries.
+    for (name, known) in [
+        ("odd", None),
+        ("big", Some(2i64)),
+        ("big", Some(10)),
+        ("sched", None),
+    ] {
+        let mut env = Bindings::new();
+        if let Some(n) = known {
+            env.insert("n".into(), Value::Int(n));
+        }
+        let query = |p: &Program| {
+            let m = p.method("Shapes", name).unwrap();
+            let q = m.iterate(None, &env).unwrap();
+            let seq = solution_texts(q.solutions());
+            let par: Vec<_> = [1, 2].map(|t| solution_texts(q.par_solutions(t))).into();
+            (seq, par)
+        };
+        let (seq, par) = query(&plan);
+        let (want, _) = query(&tree);
+        assert!(!want.0.is_empty(), "{name}: the oracle enumerates nothing");
+        assert_eq!(
+            seq, want,
+            "{name} {known:?}: machine diverges from the tree-walker"
+        );
+        for (t, got) in [1, 2].iter().zip(par) {
+            assert_eq!(got, want, "{name} {known:?}: par_solutions({t}) diverges");
+        }
+    }
+}

@@ -670,8 +670,8 @@ pub fn repr_field_program(engine: Engine) -> Program {
     program
 }
 
-/// The source of [`repr_field_program`], public so the `bytecode_vs_plan`
-/// bench can recompile it with the bytecode pass toggled.
+/// The source of [`repr_field_program`], public so the `analysis_overhead`
+/// bench can recompile it with the analysis pass toggled.
 pub const REPR_FIELD_SOURCE: &str = r#"
         class Point {
             int x0;
@@ -701,26 +701,6 @@ pub const REPR_FIELD_SOURCE: &str = r#"
             return total;
         }
     "#;
-
-/// Compiles `source` on the plan engine with the bytecode pass toggled —
-/// the before/after axis of the `bytecode_vs_plan` bench (`before` walks
-/// the goal trees and statement plans, `after` runs the flat register
-/// bytecode).
-pub fn plan_program_bytecode(source: &str, bytecode: bool) -> Program {
-    let program = Workspace::new()
-        .verify(false)
-        .max_expansion_depth(2)
-        .engine(Engine::Plan)
-        .bytecode(bytecode)
-        .compile(source)
-        .expect("bench program parses");
-    assert!(
-        program.diagnostics().errors.is_empty(),
-        "{:?}",
-        program.diagnostics().errors
-    );
-    program
-}
 
 /// Compiles `source` on the plan engine with the static-analysis pass
 /// toggled — the before/after axis of the `analysis_overhead` bench

@@ -3,9 +3,10 @@
 //!
 //! This module is pass 3.5 of [`ProgramPlan::compile`]: it runs after the
 //! dispatch tables are materialized (so inter-procedural facts can flow
-//! through them) and before bytecode emission (so the bytecode of pass 4 is
-//! compiled from the *pruned* plans and stays a mirror image of the goal
-//! trees). It produces two kinds of output:
+//! through them) and before the block bytecode of pass 4 is emitted. Every
+//! goal the pruning rewrites is recompiled on the spot, so the code the
+//! engines run is always a compile of the final goal. It produces two kinds
+//! of output:
 //!
 //! * **Facts** consumed by the runtimes — today a single bit per
 //!   mode-specialized solved form, [`SolvedForm::det`], meaning *this form
@@ -83,8 +84,8 @@
 
 use crate::diag::{Warning, WarningKind};
 use crate::lower::{
-    BodyPlan, CallKind, CaseGuard, CasePlan, CaseTarget, ClassCheck, DispatchTable, Goal,
-    MethodPlan, PExpr, PlanId, ProgramPlan, SlotId, SolvedForm, StmtPlan,
+    BodyPlan, CallKind, CaseGuard, CasePlan, CaseTarget, ClassCheck, CompiledGoal, DispatchTable,
+    Goal, MethodPlan, PExpr, PlanId, ProgramPlan, SlotId, SolvedForm, StmtPlan,
 };
 use crate::table::ClassTable;
 use crate::verify::{Verifier, VerifyOptions};
@@ -292,10 +293,10 @@ pub fn analyze_incremental(
                 matching,
                 equals_bound,
             } => {
-                simplify_goal(&mut forward.goal, &mut prunes);
-                simplify_goal(&mut matching.goal, &mut prunes);
-                if let Some(eb) = equals_bound {
-                    simplify_goal(&mut eb.goal, &mut prunes);
+                for form in [forward, matching].into_iter().chain(equals_bound) {
+                    if simplify_goal(&mut form.goal, &mut prunes) {
+                        form.recompile();
+                    }
                 }
             }
             BodyPlan::Block(bp) => prune_stmts(&mut bp.stmts, &mut prunes),
@@ -490,11 +491,14 @@ fn cheaply_no_err(g: &Goal) -> bool {
 }
 
 /// Recursively simplifies a goal, removing provably-dead alternatives.
-fn simplify_goal(g: &mut Goal, out: &mut Vec<Prune>) {
+/// Returns whether it rewrote anything (so the goal's code must be
+/// recompiled). Goals inside patterns (`p where f`) are never touched.
+fn simplify_goal(g: &mut Goal, out: &mut Vec<Prune>) -> bool {
+    let mut changed = false;
     match g {
         Goal::Seq(gs) => {
             for sub in gs.iter_mut() {
-                simplify_goal(sub, out);
+                changed |= simplify_goal(sub, out);
             }
             // A conjunction containing `Fail` emits nothing; it collapses
             // to `Fail` only when everything before the `Fail` is cheaply
@@ -508,17 +512,18 @@ fn simplify_goal(g: &mut Goal, out: &mut Vec<Prune>) {
                         ));
                     }
                     *g = Goal::Fail;
+                    changed = true;
                 }
             }
         }
         Goal::DynSeq(items) => {
             for (_, sub) in items.iter_mut() {
-                simplify_goal(sub, out);
+                changed |= simplify_goal(sub, out);
             }
         }
         Goal::Any(branches) => {
             for sub in branches.iter_mut() {
-                simplify_goal(sub, out);
+                changed |= simplify_goal(sub, out);
             }
             if branches.iter().any(|b| matches!(b, Goal::Fail)) {
                 let before = branches.len();
@@ -526,15 +531,26 @@ fn simplify_goal(g: &mut Goal, out: &mut Vec<Prune>) {
                 for _ in branches.len()..before {
                     out.push(prune("disjunct".to_owned(), Justification::StaticallyFalse));
                 }
+                changed = true;
             }
             match branches.len() {
                 0 => *g = Goal::Fail,
                 1 => *g = branches.pop().expect("len checked"),
-                _ => {}
+                _ => return changed,
             }
+            changed = true;
         }
-        Goal::Not(inner) => simplify_goal(inner, out),
+        Goal::Not(inner) => changed = simplify_goal(inner, out),
         _ => {}
+    }
+    changed
+}
+
+/// [`simplify_goal`] over a statement's goal, recompiling its code when
+/// the goal changed.
+fn simplify_compiled(g: &mut CompiledGoal, out: &mut Vec<Prune>) {
+    if simplify_goal(&mut g.goal, out) {
+        g.recompile();
     }
 }
 
@@ -588,7 +604,7 @@ fn prune_switch_cases(cases: &mut Vec<CasePlan>, out: &mut Vec<Prune>) {
 fn prune_stmts(stmts: &mut [StmtPlan], out: &mut Vec<Prune>) {
     for s in stmts.iter_mut() {
         match s {
-            StmtPlan::Let(g) => simplify_goal(g, out),
+            StmtPlan::Let(g) => simplify_compiled(g, out),
             StmtPlan::Switch {
                 cases,
                 bodies,
@@ -607,9 +623,9 @@ fn prune_stmts(stmts: &mut [StmtPlan], out: &mut Vec<Prune>) {
                 let before = arms.len();
                 let mut removed = 0;
                 arms.retain_mut(|(g, body)| {
-                    simplify_goal(g, out);
+                    simplify_compiled(g, out);
                     prune_stmts(body, out);
-                    let dead = matches!(g, Goal::Fail);
+                    let dead = matches!(g.goal, Goal::Fail);
                     removed += usize::from(dead);
                     !dead
                 });
@@ -624,18 +640,18 @@ fn prune_stmts(stmts: &mut [StmtPlan], out: &mut Vec<Prune>) {
                 }
             }
             StmtPlan::If { cond, then, els } => {
-                simplify_goal(cond, out);
+                simplify_compiled(cond, out);
                 prune_stmts(then, out);
                 if let Some(e) = els {
                     prune_stmts(e, out);
                 }
             }
             StmtPlan::Foreach { goal, body, .. } => {
-                simplify_goal(goal, out);
+                simplify_compiled(goal, out);
                 prune_stmts(body, out);
             }
             StmtPlan::While { cond, body } => {
-                simplify_goal(cond, out);
+                simplify_compiled(cond, out);
                 prune_stmts(body, out);
             }
             StmtPlan::Block(b) => prune_stmts(b, out),
@@ -760,7 +776,7 @@ fn collect_slot_types(form: &SolvedForm, method: Option<&MethodPlan>) -> Vec<Opt
             PExpr::Tuple(es) => es.iter().for_each(|e| walk_expr(e, put)),
             PExpr::Where(p, g) => {
                 walk_expr(p, put);
-                walk_goal(g, put);
+                walk_goal(&g.goal, put);
             }
             _ => {}
         }
@@ -1052,7 +1068,7 @@ impl FormCx<'_> {
             }
             PExpr::Where(inner, g) => {
                 let fi = self.pat_facts(inner, val_ty, env);
-                let fg = self.goal_facts(g, env);
+                let fg = self.goal_facts(&g.goal, env);
                 FormFacts {
                     card: fi.card.seq(fg.card),
                     no_err: fi.no_err && fg.no_err,
@@ -1506,7 +1522,7 @@ fn mark_may(g: &Goal, env: &mut Env) {
             PExpr::Tuple(es) => es.iter().for_each(|e| expr(e, env)),
             PExpr::Where(p, g) => {
                 expr(p, env);
-                mark_may(g, env);
+                mark_may(&g.goal, env);
             }
             _ => {}
         }
@@ -1565,7 +1581,7 @@ fn count_slots(g: &Goal, intro: &mut HashMap<SlotId, usize>, uses: &mut HashMap<
             PExpr::Tuple(es) => es.iter().for_each(|e| expr(e, intro, uses)),
             PExpr::Where(p, g) => {
                 expr(p, intro, uses);
-                count_slots(g, intro, uses);
+                count_slots(&g.goal, intro, uses);
             }
             _ => {}
         }
@@ -1690,7 +1706,7 @@ fn collect_invokes(g: &Goal, out: &mut Vec<(String, u32)>) {
             PExpr::Tuple(es) => es.iter().for_each(|e| expr(e, out)),
             PExpr::Where(p, g) => {
                 expr(p, out);
-                collect_invokes(g, out);
+                collect_invokes(&g.goal, out);
             }
             _ => {}
         }
@@ -1822,7 +1838,7 @@ fn goal_callees(g: &Goal, dispatch: &[DispatchTable], out: &mut Vec<PlanId>) {
             PExpr::Tuple(es) => es.iter().for_each(|e| expr(e, dispatch, out)),
             PExpr::Where(p, g) => {
                 expr(p, dispatch, out);
-                goal_callees(g, dispatch, out);
+                goal_callees(&g.goal, dispatch, out);
             }
             _ => {}
         }
@@ -1859,7 +1875,7 @@ fn goal_callees(g: &Goal, dispatch: &[DispatchTable], out: &mut Vec<PlanId>) {
 fn stmt_callees(stmts: &[StmtPlan], dispatch: &[DispatchTable], out: &mut Vec<PlanId>) {
     for s in stmts {
         match s {
-            StmtPlan::Let(g) => goal_callees(g, dispatch, out),
+            StmtPlan::Let(g) => goal_callees(&g.goal, dispatch, out),
             StmtPlan::Switch {
                 scrutinees,
                 cases,
@@ -1883,7 +1899,7 @@ fn stmt_callees(stmts: &[StmtPlan], dispatch: &[DispatchTable], out: &mut Vec<Pl
             }
             StmtPlan::Cond { arms, else_arm } => {
                 for (g, b) in arms {
-                    goal_callees(g, dispatch, out);
+                    goal_callees(&g.goal, dispatch, out);
                     stmt_callees(b, dispatch, out);
                 }
                 if let Some(e) = else_arm {
@@ -1891,18 +1907,18 @@ fn stmt_callees(stmts: &[StmtPlan], dispatch: &[DispatchTable], out: &mut Vec<Pl
                 }
             }
             StmtPlan::If { cond, then, els } => {
-                goal_callees(cond, dispatch, out);
+                goal_callees(&cond.goal, dispatch, out);
                 stmt_callees(then, dispatch, out);
                 if let Some(e) = els {
                     stmt_callees(e, dispatch, out);
                 }
             }
             StmtPlan::Foreach { goal, body, .. } => {
-                goal_callees(goal, dispatch, out);
+                goal_callees(&goal.goal, dispatch, out);
                 stmt_callees(body, dispatch, out);
             }
             StmtPlan::While { cond, body } => {
-                goal_callees(cond, dispatch, out);
+                goal_callees(&cond.goal, dispatch, out);
                 stmt_callees(body, dispatch, out);
             }
             StmtPlan::Return(Some(e))

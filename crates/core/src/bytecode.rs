@@ -1,27 +1,37 @@
 //! Flat register bytecode compiled from the [`lower`](crate::lower) plan IR.
 //!
-//! The plan evaluator and the resumable machine both used to *walk* the
-//! boxed [`Goal`]/[`PExpr`] tree per step: every conjunct was an enum
-//! dispatch plus a pointer chase, every `while` re-interpreted its condition
-//! node, and every `switch` scanned its case guards linearly. This module
-//! lowers one level further — the fourth materialization pass of
-//! [`ProgramPlan::compile`](crate::lower::ProgramPlan::compile) — into two
-//! dense instruction streams:
+//! Every goal the engines run executes as code emitted here; the lowered
+//! [`Goal`] trees stay alongside only as the compiler's input and the
+//! analysis's subject (the tree-walker of `jmatch-runtime`, which reads the
+//! source AST, is the independent oracle). There are two dense instruction
+//! streams:
 //!
-//! - **[`BcBody`]** — threaded code for one mode-specialized solved form.
-//!   Every instruction carries the *pc of its continuation* explicitly
-//!   (`next`), so conjunction is a fall-through field instead of a
-//!   `Seq` vector walk, and disjunction is a [`Instr::Choice`] whose
-//!   alternatives are entry pcs. The stream is compiled right-to-left:
-//!   `emit(goal, next)` appends the instructions of `goal` and returns its
-//!   entry pc, so no jump patching is ever needed and pc `0` is always the
-//!   shared [`Instr::Emit`] solution boundary.
-//! - **[`BcBlock`]** — register code for one imperative body. Expression
-//!   temporaries live in a flat register file indexed by [`Reg`] instead of
-//!   re-walking `PExpr` trees; `switch` lowers to a [`SwitchTable`] jump
-//!   table over the PR 4 [`CaseGuard`] class tags (one array load selects
-//!   the candidate arms for a scrutinee's type index); `while` loops whose
-//!   condition is a comparison become a `CmpJump`/`LoopJump` pair.
+//! - **[`BcBody`]** — threaded code for one goal: a mode-specialized solved
+//!   form, the goal of a `let` / `if` / `cond` / `foreach` / `while`
+//!   statement, or the refinement of a `p where f` pattern.
+//!   [`compile_body`] needs nothing program-wide, so each goal is compiled
+//!   where it is lowered. Every instruction carries the *pc of its
+//!   continuation* explicitly (`next`), so conjunction is a fall-through
+//!   field, and disjunction is an [`Instr::Choice`] whose alternatives are
+//!   entry pcs. The stream is compiled right-to-left: `emit(goal, next)`
+//!   appends the instructions of `goal` and returns its entry pc, so no
+//!   jump patching is ever needed and pc `0` is always the shared
+//!   [`Instr::Emit`] solution boundary. A negated goal and each conjunct of
+//!   a run-time-scheduled conjunction are *sub-entries* of the same stream:
+//!   code ending at pc `0`, emitted before the [`Instr::Not`] /
+//!   [`Instr::DynSeq`] that runs it, so reaching pc `0` from a sub-entry
+//!   means "this sub-goal found a solution" and the engine continues with
+//!   whatever ran the sub-entry.
+//! - **[`BcBlock`]** — register code for one imperative body, emitted by
+//!   the fourth pass of
+//!   [`ProgramPlan::compile`](crate::lower::ProgramPlan::compile) because
+//!   call sites and switch arms specialize against the whole program.
+//!   Expression temporaries live in a flat register file indexed by [`Reg`]
+//!   instead of re-walking `PExpr` trees; `switch` lowers to a
+//!   [`SwitchTable`] jump table over the [`CaseGuard`] class tags (one
+//!   array load selects the candidate arms for a scrutinee's type index);
+//!   `while` loops whose condition is a comparison become a
+//!   `CmpJump`/`LoopJump` pair.
 //!
 //! # Register model
 //!
@@ -33,45 +43,49 @@
 //! are the unit the trail, the machine's choice points, and the embedding
 //! API all address.
 //!
-//! # Choice-point and trail offsets
+//! # Invariants of goal code
 //!
 //! The compiler resolves everything a choice point needs *at compile time*:
 //! a [`Instr::Choice`]'s alternatives are instruction addresses, so the
 //! machine saves `(pc, alternative index)` instead of a boxed continuation
-//! chain, and a `par.rs` task prefix stays the same dense `Vec<u32>` path of
-//! alternative indices as before. Two invariants make the bytecode
-//! transcript- and path-compatible with the plan walker, and both are load
-//! bearing:
+//! chain, and a `par.rs` task prefix is a dense `Vec<u32>` path of
+//! alternative indices. Three invariants are load bearing:
 //!
-//! 1. **Choice arity is preserved exactly.** `Any([])` compiles to `Fail`,
-//!    `Any([g])` inlines `g` with *no* choice instruction (the machine
-//!    creates no choice point for single branches), and `Any(n ≥ 2)`
-//!    compiles to one `Choice` with exactly `n` alternatives in source
-//!    order. Guides recorded by either engine therefore replay identically
-//!    on the other, and `split_oldest` prefixes serialize to the same size.
-//! 2. **Trail discipline is unchanged.** The bytecode binds frame slots
-//!    through the same trail the plan walker uses; an alternative's
-//!    `trail_mark`/`frames_mark` rollback needs no bytecode-specific state
-//!    beyond the saved pc.
+//! 1. **Every referenced pc is below its holder.** Each `next`, each
+//!    `Choice` alternative and each sub-entry pc is strictly smaller than
+//!    the pc of the instruction holding it, so both engines chase pcs in a
+//!    loop that always terminates.
+//! 2. **Choice arity is the source's.** `Any([])` compiles to `Fail`,
+//!    `Any([g])` inlines `g` with *no* choice instruction (no choice point
+//!    for a single branch), and `Any(n ≥ 2)` compiles to one `Choice` with
+//!    exactly `n` alternatives in source order. Enumeration order is
+//!    therefore the source's (and the tree-walker's), and a replay guide
+//!    recorded by one OR-parallel worker routes every other worker to the
+//!    same subtree.
+//! 3. **Bindings go through the trail.** The code binds frame slots
+//!    through the machine's trail; an alternative's
+//!    `trail_mark`/`frames_mark` rollback needs no state beyond the saved
+//!    pc. Sub-entries need none either: a negation runs on a copy of the
+//!    bindings, and a scheduled conjunct binds on the same trail as the
+//!    conjunction that ran it.
 //!
 //! # Unify modes
 //!
-//! The plan walker decides the direction of every equation at run time with
-//! two [`ground`]-tree walks. The bytecode compiler runs a must-bound
-//! dataflow analysis over the solved form (seeded with the mode's bound
-//! parameter slots) and bakes the direction into the instruction as a
-//! [`UnifyMode`] when it is statically forced; only equations whose
-//! direction genuinely depends on run-time values keep the dynamic check.
-//! The analysis is sound, not complete: `must ⊆ bound` always holds, and
-//! anything unprovable degrades to [`UnifyMode::Dynamic`], which behaves
-//! exactly like the tree walk.
-//!
-//! [`ground`]: crate::lower::PExpr
+//! Whether an equation evaluates a side or matches it depends on which
+//! side is ground. The compiler runs a must-bound dataflow analysis over
+//! the goal, seeded by its [`Entry`] — the slots a solved form's caller
+//! binds, or nothing at all for a statement or `where` goal, which runs in
+//! whatever frame reaches it — and bakes the direction into the
+//! instruction as a [`UnifyMode`] when it is statically forced; only
+//! equations whose direction genuinely depends on run-time values keep
+//! the dynamic check. The analysis is sound, not complete: `must ⊆ bound`
+//! always holds, and anything unprovable degrades to
+//! [`UnifyMode::Dynamic`], which tests groundness at run time.
 
 use crate::intern::Sym;
 use crate::lower::{
     BlockPlan, BodyPlan, CallKind, CaseGuard, CasePlan, CaseTarget, ClassCheck, DispatchId,
-    DispatchTable, Goal, MethodPlan, PExpr, PlanId, SlotId, SolvedForm, StmtPlan,
+    DispatchTable, Goal, MethodPlan, PExpr, PlanId, ReadyCheck, SlotId, SolvedForm, StmtPlan,
 };
 use crate::table::ClassLayout;
 use jmatch_syntax::ast::{BinOp, CmpOp};
@@ -82,8 +96,6 @@ use std::fmt;
 pub type Pc = u32;
 /// Index into a stream's [`PExpr`] pool.
 pub type ExprId = u32;
-/// Index into a stream's [`Goal`] pool.
-pub type GoalId = u32;
 /// Index into a [`BcBlock`]'s [`StmtPlan`] pool.
 pub type StmtId = u32;
 /// A register in a [`BcBlock`]'s register file.
@@ -98,8 +110,8 @@ pub enum UnifyMode {
     EvalMatch,
     /// Right provably ground, left provably not: evaluate right, match left.
     MatchEval,
-    /// Direction depends on run-time bindings: check `ground` like the
-    /// tree walker.
+    /// Direction depends on run-time bindings: check groundness when the
+    /// instruction runs.
     Dynamic,
 }
 
@@ -162,35 +174,38 @@ pub enum Instr {
         /// Continuation.
         next: Pc,
     },
-    /// Negation as failure over a pooled goal (executed by the recursive
-    /// existence check, exactly like the plan walker).
+    /// Negation as failure: continue at `next` iff the sub-entry at
+    /// `entry` (the negated goal, ending at pc 0) has no solution. The
+    /// existence check runs on a copy of the bindings, so nothing the
+    /// negated goal binds survives.
     Not {
-        /// The negated goal (goal-pool index).
-        goal: GoalId,
+        /// Entry pc of the negated goal.
+        entry: Pc,
         /// Continuation.
         next: Pc,
     },
-    /// A dynamically scheduled conjunction, delegated whole to the
-    /// ready-check machinery (goal-pool index holds the `Goal::DynSeq`).
+    /// A conjunction scheduled at run time: repeatedly run the first
+    /// conjunct whose [`ReadyCheck`] holds against the current bindings,
+    /// re-checking after every solution, then continue at `next`. Each
+    /// conjunct is a sub-entry ending at pc 0.
     DynSeq {
-        /// The pooled `Goal::DynSeq`.
-        goal: GoalId,
+        /// One `(readiness test, entry pc)` per conjunct, in source order.
+        conjuncts: Box<[(ReadyCheck, Pc)]>,
         /// Continuation.
         next: Pc,
     },
 }
 
-/// Threaded bytecode for one mode-specialized solved form.
-#[derive(Debug, Clone)]
+/// Threaded bytecode for one goal: a solved form, a statement's goal, or
+/// the refinement of a `p where f` pattern.
+#[derive(Debug, Clone, PartialEq)]
 pub struct BcBody {
-    /// Entry pc of the form's goal.
+    /// Entry pc of the goal.
     pub entry: Pc,
     /// The instruction stream; `instrs[0]` is [`Instr::Emit`].
     pub instrs: Vec<Instr>,
     /// Leaf expression pool (instructions hold [`ExprId`]s into it).
     pub exprs: Vec<PExpr>,
-    /// Subgoal pool for `Not` / `DynSeq` delegation.
-    pub goals: Vec<Goal>,
     /// Invoked-name pool.
     pub names: Vec<String>,
 }
@@ -248,31 +263,58 @@ fn binders(pat: &PExpr, out: &mut HashSet<SlotId>) {
     }
 }
 
+/// What the code of a goal may assume about its frame at entry.
+#[derive(Debug, Clone, Copy)]
+pub enum Entry<'a> {
+    /// A fresh frame of a solved form: exactly `bound` are bound, and
+    /// `this` is in scope iff `this`.
+    Fresh {
+        /// The slots the caller seeds.
+        bound: &'a [SlotId],
+        /// Whether `this` is in scope.
+        this: bool,
+    },
+    /// A frame in an unknown state — the goal of a statement or of a
+    /// `where` pattern runs in whatever frame reaches it. Nothing is
+    /// provably bound or unbound there, and `this` may or may not be in
+    /// scope, so only bindings made by the goal itself direct equations.
+    Open,
+}
+
+/// What the analysis knows about the frame beyond the must/may sets:
+/// whether `this` is in scope (`None`: unknown), and whether the entry
+/// state is [`Entry::Open`] (any slot may already be bound).
+#[derive(Debug, Clone, Copy)]
+struct Scope {
+    this: Option<bool>,
+    open: bool,
+}
+
 /// Conservative "provably ground here": `true` only when the run-time
 /// [`ground`](crate::lower) walk is guaranteed to say `true`. The
 /// field-of-`this` fallback is deliberately excluded — it depends on the
 /// receiver's run-time class — so equations relying on it stay `Dynamic`.
-fn must_ground(e: &PExpr, must: &HashSet<SlotId>, this_known: bool) -> bool {
+fn must_ground(e: &PExpr, must: &HashSet<SlotId>, scope: Scope) -> bool {
     match e {
         PExpr::Int(_) | PExpr::Bool(_) | PExpr::Str(_) | PExpr::Null => true,
-        PExpr::This => this_known,
+        PExpr::This => scope.this == Some(true),
         PExpr::Result(s) => must.contains(s),
         PExpr::Name {
             slot, class_ref, ..
         } => must.contains(slot) || *class_ref,
-        PExpr::Field(b, _, _) => must_ground(b, must, this_known),
+        PExpr::Field(b, _, _) => must_ground(b, must, scope),
         PExpr::Call { receiver, args, .. } => {
             receiver
                 .as_deref()
-                .map(|r| must_ground(r, must, this_known))
+                .map(|r| must_ground(r, must, scope))
                 .unwrap_or(true)
-                && args.iter().all(|a| must_ground(a, must, this_known))
+                && args.iter().all(|a| must_ground(a, must, scope))
         }
         PExpr::Index(a, b) | PExpr::Binary(_, a, b) => {
-            must_ground(a, must, this_known) && must_ground(b, must, this_known)
+            must_ground(a, must, scope) && must_ground(b, must, scope)
         }
-        PExpr::NewArray(_, a) | PExpr::Neg(a) => must_ground(a, must, this_known),
-        PExpr::Tuple(xs) => xs.iter().all(|x| must_ground(x, must, this_known)),
+        PExpr::NewArray(_, a) | PExpr::Neg(a) => must_ground(a, must, scope),
+        PExpr::Tuple(xs) => xs.iter().all(|x| must_ground(x, must, scope)),
         PExpr::Wildcard | PExpr::Decl(..) | PExpr::As(..) | PExpr::OrPat(..) | PExpr::Where(..) => {
             false
         }
@@ -299,7 +341,7 @@ fn may_binders(pat: &PExpr, out: &mut HashSet<SlotId>) {
         }
         PExpr::Where(p, g) => {
             may_binders(p, out);
-            goal_may(g, out);
+            goal_may(&g.goal, out);
         }
         PExpr::Call { args, .. } => {
             for a in args {
@@ -349,30 +391,35 @@ fn goal_may(goal: &Goal, out: &mut HashSet<SlotId>) {
 /// position, or a variable no earlier goal can possibly have bound whose
 /// field-of-`this` fallback is statically dead (`this` absent, or the name
 /// is no declared field anywhere).
-fn never_ground(e: &PExpr, may: &HashSet<SlotId>, this_known: bool) -> bool {
+fn never_ground(e: &PExpr, may: &HashSet<SlotId>, scope: Scope) -> bool {
     match e {
         PExpr::Wildcard | PExpr::Decl(..) => true,
-        PExpr::This => !this_known,
+        PExpr::This => scope.this == Some(false),
         PExpr::Name {
             slot,
             field_sym,
             class_ref,
             ..
-        } => !*class_ref && !may.contains(slot) && (!this_known || field_sym.is_none()),
-        PExpr::Result(s) => !may.contains(s),
-        PExpr::Field(b, _, _) => never_ground(b, may, this_known),
+        } => {
+            !scope.open
+                && !*class_ref
+                && !may.contains(slot)
+                && (scope.this == Some(false) || field_sym.is_none())
+        }
+        PExpr::Result(s) => !scope.open && !may.contains(s),
+        PExpr::Field(b, _, _) => never_ground(b, may, scope),
         PExpr::Call { receiver, args, .. } => {
             receiver
                 .as_deref()
-                .is_some_and(|r| never_ground(r, may, this_known))
-                || args.iter().any(|a| never_ground(a, may, this_known))
+                .is_some_and(|r| never_ground(r, may, scope))
+                || args.iter().any(|a| never_ground(a, may, scope))
         }
         PExpr::Index(a, b) | PExpr::Binary(_, a, b) | PExpr::As(a, b) | PExpr::OrPat(a, b) => {
-            never_ground(a, may, this_known) || never_ground(b, may, this_known)
+            never_ground(a, may, scope) || never_ground(b, may, scope)
         }
-        PExpr::NewArray(_, a) | PExpr::Neg(a) => never_ground(a, may, this_known),
-        PExpr::Tuple(xs) => xs.iter().any(|x| never_ground(x, may, this_known)),
-        PExpr::Where(p, _) => never_ground(p, may, this_known),
+        PExpr::NewArray(_, a) | PExpr::Neg(a) => never_ground(a, may, scope),
+        PExpr::Tuple(xs) => xs.iter().any(|x| never_ground(x, may, scope)),
+        PExpr::Where(p, _) => never_ground(p, may, scope),
         _ => false,
     }
 }
@@ -386,20 +433,29 @@ fn analyze(
     goal: &Goal,
     must: &mut HashSet<SlotId>,
     may: &mut HashSet<SlotId>,
-    this_known: bool,
+    scope: Scope,
     modes: &mut Vec<UnifyMode>,
 ) {
     match goal {
         Goal::True | Goal::Trivial | Goal::Fail | Goal::Test(_) | Goal::Compare(..) => {}
-        // `Not` binds nothing and its inner goal runs through the recursive
-        // existence check, not the instruction stream: no modes inside.
-        Goal::Not(_) => {}
-        // Delegated whole; its bindings are not must-known afterwards, but
-        // they are possible.
-        Goal::DynSeq(_) => goal_may(goal, may),
+        // The negated goal runs from the current state and its bindings
+        // are undone: analyze it on copies.
+        Goal::Not(inner) => {
+            analyze(inner, &mut must.clone(), &mut may.clone(), scope, modes);
+        }
+        // The conjuncts run in an order chosen at run time: each starts
+        // from the entry must-set and a may-set that already holds every
+        // conjunct's bindings. Afterwards their bindings are possible, not
+        // certain.
+        Goal::DynSeq(items) => {
+            goal_may(goal, may);
+            for (_, g) in items {
+                analyze(g, &mut must.clone(), &mut may.clone(), scope, modes);
+            }
+        }
         Goal::Seq(gs) => {
             for g in gs {
-                analyze(g, must, may, this_known, modes);
+                analyze(g, must, may, scope, modes);
             }
         }
         Goal::Any(gs) => {
@@ -409,7 +465,7 @@ fn analyze(
             for g in gs {
                 let mut bmust = entry_must.clone();
                 let mut bmay = entry_may.clone();
-                analyze(g, &mut bmust, &mut bmay, this_known, modes);
+                analyze(g, &mut bmust, &mut bmay, scope, modes);
                 may.extend(bmay);
                 exit = Some(match exit {
                     None => bmust,
@@ -421,13 +477,13 @@ fn analyze(
             }
         }
         Goal::Unify(l, r) => {
-            let lg = must_ground(l, must, this_known);
-            let rg = must_ground(r, must, this_known);
+            let lg = must_ground(l, must, scope);
+            let rg = must_ground(r, must, scope);
             let mode = if lg && rg {
                 UnifyMode::EvalEval
-            } else if lg && never_ground(r, may, this_known) {
+            } else if lg && never_ground(r, may, scope) {
                 UnifyMode::EvalMatch
-            } else if rg && never_ground(l, may, this_known) {
+            } else if rg && never_ground(l, may, scope) {
                 UnifyMode::MatchEval
             } else {
                 UnifyMode::Dynamic
@@ -459,7 +515,6 @@ fn analyze(
 struct BodyCompiler {
     instrs: Vec<Instr>,
     exprs: Vec<PExpr>,
-    goals: Vec<Goal>,
     names: Vec<String>,
     /// Modes from pass A, popped from the back.
     modes: Vec<UnifyMode>,
@@ -478,12 +533,6 @@ impl BodyCompiler {
         id
     }
 
-    fn goal(&mut self, g: Goal) -> GoalId {
-        let id = self.goals.len() as GoalId;
-        self.goals.push(g);
-        id
-    }
-
     fn name(&mut self, n: &str) -> u32 {
         if let Some(i) = self.names.iter().position(|x| x == n) {
             return i as u32;
@@ -495,7 +544,9 @@ impl BodyCompiler {
 
     /// Appends the instructions of `g`, continuing at `next`, and returns
     /// the entry pc. Conjunctions are emitted right-to-left so every
-    /// continuation pc already exists when its predecessor is written.
+    /// continuation pc already exists when its predecessor is written;
+    /// the sub-entries of `Not` and `DynSeq` (ending at the shared pc `0`)
+    /// are emitted before the instruction that refers to them.
     fn emit(&mut self, g: &Goal, next: Pc) -> Pc {
         match g {
             Goal::True | Goal::Trivial => next,
@@ -507,9 +558,9 @@ impl BodyCompiler {
                 }
                 pc
             }
-            // Choice arity must mirror the machine's choice-point arity
-            // exactly (see the module docs): 0 ⇒ Fail, 1 ⇒ inline, else
-            // one Choice with one alternative per branch, in source order.
+            // Choice arity must mirror the goal's disjunction arity exactly
+            // (see the module docs): 0 ⇒ Fail, 1 ⇒ inline, else one Choice
+            // with one alternative per branch, in source order.
             Goal::Any(gs) => match gs.len() {
                 0 => self.push(Instr::Fail),
                 1 => self.emit(&gs[0], next),
@@ -545,12 +596,20 @@ impl BodyCompiler {
                 self.push(Instr::Test { expr, next })
             }
             Goal::Not(inner) => {
-                let goal = self.goal((**inner).clone());
-                self.push(Instr::Not { goal, next })
+                let entry = self.emit(inner, 0);
+                self.push(Instr::Not { entry, next })
             }
-            Goal::DynSeq(_) => {
-                let goal = self.goal(g.clone());
-                self.push(Instr::DynSeq { goal, next })
+            Goal::DynSeq(items) => {
+                let mut conjuncts: Vec<(ReadyCheck, Pc)> = items
+                    .iter()
+                    .rev()
+                    .map(|(check, g)| (check.clone(), self.emit(g, 0)))
+                    .collect();
+                conjuncts.reverse();
+                self.push(Instr::DynSeq {
+                    conjuncts: conjuncts.into(),
+                    next,
+                })
             }
             Goal::Invoke {
                 receiver,
@@ -577,36 +636,42 @@ impl BodyCompiler {
     }
 }
 
-/// Compiles one solved form's goal to threaded bytecode. `entry_must` are
-/// the slots the mode seeds as bound (parameters for the forward mode, the
-/// first parameter for `equals_bound`, the caller-bound names for a
-/// standalone form, nothing for the matching mode).
-pub fn compile_body(form: &SolvedForm, entry_must: &[SlotId]) -> BcBody {
-    let mut must: HashSet<SlotId> = entry_must.iter().copied().collect();
+/// Compiles one goal to threaded bytecode, directing its equations from
+/// what `entry` proves about the frame.
+pub fn compile_body(goal: &Goal, entry: Entry<'_>) -> BcBody {
+    let (bound, scope) = match entry {
+        Entry::Fresh { bound, this } => (
+            bound,
+            Scope {
+                this: Some(this),
+                open: false,
+            },
+        ),
+        Entry::Open => (
+            &[][..],
+            Scope {
+                this: None,
+                open: true,
+            },
+        ),
+    };
+    let mut must: HashSet<SlotId> = bound.iter().copied().collect();
     let mut may = must.clone();
     let mut modes = Vec::new();
-    analyze(
-        &form.goal,
-        &mut must,
-        &mut may,
-        form.this_present,
-        &mut modes,
-    );
+    analyze(goal, &mut must, &mut may, scope, &mut modes);
     let mut c = BodyCompiler {
         instrs: Vec::new(),
         exprs: Vec::new(),
-        goals: Vec::new(),
         names: Vec::new(),
         modes,
     };
     c.push(Instr::Emit);
-    let entry = c.emit(&form.goal, 0);
+    let entry = c.emit(goal, 0);
     debug_assert!(c.modes.is_empty(), "unify modes left over after emission");
     BcBody {
         entry,
         instrs: c.instrs,
         exprs: c.exprs,
-        goals: c.goals,
         names: c.names,
     }
 }
@@ -1674,7 +1739,7 @@ impl<'a> BlockCompiler<'a> {
             StmtPlan::Return(None) => {
                 self.push(SInstr::RetNull);
             }
-            StmtPlan::While { cond, body } => match cond {
+            StmtPlan::While { cond, body } => match &cond.goal {
                 Goal::Compare(op, l, r) => {
                     let guard = self.nguards;
                     self.nguards += 1;
@@ -2201,8 +2266,17 @@ impl fmt::Display for BcBody {
                 Instr::Test { expr, next } => {
                     writeln!(f, "test {} -> {next}", PE(&self.exprs[*expr as usize]))?;
                 }
-                Instr::Not { goal, next } => writeln!(f, "not goal#{goal} -> {next}")?,
-                Instr::DynSeq { goal, next } => writeln!(f, "dynseq goal#{goal} -> {next}")?,
+                Instr::Not { entry, next } => writeln!(f, "not {entry} -> {next}")?,
+                Instr::DynSeq { conjuncts, next } => {
+                    write!(f, "dynseq [")?;
+                    for (i, (_, pc)) in conjuncts.iter().enumerate() {
+                        if i > 0 {
+                            write!(f, ", ")?;
+                        }
+                        write!(f, "{pc}")?;
+                    }
+                    writeln!(f, "] -> {next}")?;
+                }
             }
         }
         Ok(())
@@ -2352,20 +2426,6 @@ mod tests {
     "#;
 
     #[test]
-    fn every_solved_form_gets_bytecode() {
-        let plan = plan_for(ZNAT);
-        for m in plan.methods() {
-            if let crate::lower::BodyPlan::Formula {
-                forward, matching, ..
-            } = &m.body
-            {
-                assert!(forward.bc.is_some(), "{} forward", m.info.decl.name);
-                assert!(matching.bc.is_some(), "{} matching", m.info.decl.name);
-            }
-        }
-    }
-
-    #[test]
     fn projection_ctors_get_fast_construct() {
         let plan = plan_for(
             r#"
@@ -2395,7 +2455,7 @@ mod tests {
         let plan = plan_for(ZNAT);
         let succ = plan.method(plan.lookup_impl("ZNat", "succ").unwrap());
         let (forward, matching) = succ.body.solved_forms().unwrap();
-        for bc in [forward.bc.as_ref().unwrap(), matching.bc.as_ref().unwrap()] {
+        for bc in [&forward.bc, &matching.bc] {
             assert_eq!(bc.instrs[0], Instr::Emit);
             assert!((bc.entry as usize) < bc.instrs.len());
         }
@@ -2406,7 +2466,7 @@ mod tests {
         let plan = plan_for(ZNAT);
         let succ = plan.method(plan.lookup_impl("ZNat", "succ").unwrap());
         let (forward, _) = succ.body.solved_forms().unwrap();
-        let bc = forward.bc.as_ref().unwrap();
+        let bc = &forward.bc;
         // Forward succ: `ZNat(val - 1) = n` with `n` a bound parameter and
         // the left a constructor pattern over the unbound field `val`: the
         // analysis must flip it to match-left/eval-right.
@@ -2435,7 +2495,7 @@ mod tests {
             plan_for("class R { boolean below(int x) iterates(x) ( x = 0 || x = 1 || x = 2 ) }");
         let m = plan.method(plan.lookup_impl("R", "below").unwrap());
         let (_, matching) = m.body.solved_forms().unwrap();
-        let bc = matching.bc.as_ref().unwrap();
+        let bc = &matching.bc;
         let choices: Vec<usize> = bc
             .instrs
             .iter()

@@ -7,8 +7,9 @@
 //! time. This module is that translation for the reproduction: it runs after
 //! class-table/mode resolution and compiles every method body — declarative
 //! formulas, `switch` dispatch, `foreach` enumeration, imperative blocks —
-//! into a [`Plan`] IR that `jmatch-runtime`'s plan evaluator executes
-//! directly.
+//! into a [`Plan`] IR whose goals are compiled to the threaded bytecode of
+//! [`crate::bytecode`] as they are lowered — the code `jmatch-runtime`'s
+//! plan engine executes.
 //!
 //! The lowering performs three jobs the tree-walking interpreter used to
 //! redo on every call:
@@ -73,6 +74,7 @@
 //!
 //! [`Plan`]: ProgramPlan
 
+use crate::bytecode::{compile_body, BcBody, Entry};
 use crate::intern::Sym;
 use crate::table::{ClassLayout, ClassTable, MethodInfo};
 use jmatch_syntax::ast::*;
@@ -361,8 +363,9 @@ pub enum PExpr {
     As(Box<PExpr>, Box<PExpr>),
     /// `p1 # p2` / `p1 | p2` pattern disjunction.
     OrPat(Box<PExpr>, Box<PExpr>),
-    /// `p where (f)` — the formula is lowered to a goal.
-    Where(Box<PExpr>, Box<Goal>),
+    /// `p where (f)` — the formula is lowered and compiled to a goal of
+    /// its own, run after `p` matched.
+    Where(Box<PExpr>, Box<CompiledGoal>),
 }
 
 // ---------------------------------------------------------------------------
@@ -432,6 +435,31 @@ pub enum Goal {
     Trivial,
 }
 
+/// A goal together with the code the engines run for it: the goal of a
+/// statement or of a `p where f` pattern. Such a goal runs in whatever
+/// frame reaches it, so its code is compiled against an
+/// [`Entry::Open`] frame.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompiledGoal {
+    /// The lowered goal (what the analysis reads and rewrites).
+    pub goal: Goal,
+    /// Its threaded bytecode.
+    pub bc: BcBody,
+}
+
+impl CompiledGoal {
+    /// Compiles `goal`.
+    pub fn new(goal: Goal) -> Self {
+        let bc = compile_body(&goal, Entry::Open);
+        CompiledGoal { goal, bc }
+    }
+
+    /// Recompiles the code after the goal was rewritten.
+    pub(crate) fn recompile(&mut self) {
+        self.bc = compile_body(&self.goal, Entry::Open);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Statements
 // ---------------------------------------------------------------------------
@@ -466,7 +494,7 @@ pub struct CasePlan {
 #[derive(Debug, Clone)]
 pub enum StmtPlan {
     /// `let f;` — commit to the first solution of the goal.
-    Let(Goal),
+    Let(CompiledGoal),
     /// A `switch` with its dispatch plan.
     Switch {
         /// Scrutinee expressions.
@@ -481,14 +509,14 @@ pub enum StmtPlan {
     /// `cond { (f) {s} ... else {s} }`.
     Cond {
         /// The arms in order.
-        arms: Vec<(Goal, Vec<StmtPlan>)>,
+        arms: Vec<(CompiledGoal, Vec<StmtPlan>)>,
         /// The `else` arm.
         else_arm: Option<Vec<StmtPlan>>,
     },
     /// `if (f) s else s`.
     If {
         /// Condition goal.
-        cond: Goal,
+        cond: CompiledGoal,
         /// Then branch.
         then: Vec<StmtPlan>,
         /// Else branch.
@@ -497,7 +525,7 @@ pub enum StmtPlan {
     /// `foreach (f) { s }`.
     Foreach {
         /// The iterated goal.
-        goal: Goal,
+        goal: CompiledGoal,
         /// Slots of variables the formula *declares* (used for the
         /// outer-update merge semantics).
         declared: Vec<SlotId>,
@@ -507,7 +535,7 @@ pub enum StmtPlan {
     /// `while (f) { s }`.
     While {
         /// Loop condition goal.
-        cond: Goal,
+        cond: CompiledGoal,
         /// Loop body.
         body: Vec<StmtPlan>,
     },
@@ -549,9 +577,30 @@ pub struct SolvedForm {
     /// of a `det` form instead of keeping its choice points alive. Always
     /// `false` when the analysis is disabled.
     pub det: bool,
-    /// The form's threaded bytecode (pass 4 of [`ProgramPlan::compile`];
-    /// `None` when bytecode emission is disabled).
-    pub bc: Option<crate::bytecode::BcBody>,
+    /// The slots the caller binds before the form runs: every parameter
+    /// in the forward mode, the first parameter of an equals-bound form,
+    /// the entry names of a standalone form, none in the matching mode.
+    pub seeded: Vec<SlotId>,
+    /// The form's threaded bytecode, compiled when the form is lowered
+    /// (and again if the analysis rewrites the goal) — the code both
+    /// engines run.
+    pub bc: BcBody,
+}
+
+impl SolvedForm {
+    /// What the form's code may assume at entry: a fresh frame holding
+    /// exactly the seeded slots.
+    pub fn entry(&self) -> Entry<'_> {
+        Entry::Fresh {
+            bound: &self.seeded,
+            this: self.this_present,
+        }
+    }
+
+    /// Recompiles the code after the goal was rewritten.
+    pub(crate) fn recompile(&mut self) {
+        self.bc = compile_body(&self.goal, self.entry());
+    }
 }
 
 /// A lowered imperative body.
@@ -563,8 +612,8 @@ pub struct BlockPlan {
     pub frame: FrameLayout,
     /// Slot of each declared parameter, in declaration order.
     pub param_slots: Vec<SlotId>,
-    /// The body's register bytecode (pass 4 of [`ProgramPlan::compile`];
-    /// `None` when bytecode emission is disabled).
+    /// The body's register bytecode (pass 4 of [`ProgramPlan::compile`],
+    /// which needs the whole program; `None` only before it ran).
     pub bc: Option<crate::bytecode::BcBlock>,
 }
 
@@ -616,8 +665,8 @@ pub struct MethodPlan {
     pub owner_layout: Option<Arc<ClassLayout>>,
     /// Pass-4 projection-constructor specialization: when the forward form
     /// is a pure `field = expr(params)` conjunction, forward construction
-    /// fills the layout straight from the arguments (`None` when bytecode
-    /// emission is disabled or the form needs the solver).
+    /// fills the layout straight from the arguments (`None` when the form
+    /// needs the solver).
     pub fast_ctor: Option<crate::bytecode::FastCtor>,
     /// Plans whose *bodies* this method's bytecode specialized against
     /// (inlined returned expressions, projection-switch shapes), recorded
@@ -714,10 +763,6 @@ impl DispatchRegistry {
 /// Options of [`ProgramPlan::compile_with`]: which optional passes run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanOptions {
-    /// Emit flat bytecode for every lowered body (pass 4). On by default;
-    /// the plan-walking baseline of the `bytecode_vs_plan` bench turns it
-    /// off.
-    pub bytecode: bool,
     /// Run the static-analysis pipeline (pass 3.5, [`crate::analysis`]):
     /// dead-alternative pruning, determinism inference, IR lints. On by
     /// default; `analysis: false` keeps the unanalyzed plan as the
@@ -733,7 +778,6 @@ pub struct PlanOptions {
 impl Default for PlanOptions {
     fn default() -> Self {
         PlanOptions {
-            bytecode: true,
             analysis: true,
             smt_prune_check: false,
         }
@@ -759,8 +803,6 @@ pub struct ProgramPlan {
     class_ctor_by_type: Box<[Option<PlanId>]>,
     /// The `equals` dispatch table (deep equality's hot lookup).
     equals_dispatch: Option<DispatchId>,
-    /// Whether pass 4 emitted bytecode (standalone lowering follows suit).
-    bc_enabled: bool,
     /// What pass 3.5 found (`None` when the analysis was disabled).
     analysis: Option<crate::analysis::AnalysisReport>,
 }
@@ -771,28 +813,14 @@ impl ProgramPlan {
     /// pass 1 registers every method in the resolution maps, pass 2 lowers
     /// bodies against those maps (resolving static call sites and interning
     /// dispatched names), pass 3 materializes one [`DispatchTable`] per
-    /// name, pass 4 emits the flat bytecode of every lowered body (see
-    /// [`crate::bytecode`]).
+    /// name, pass 4 emits the register bytecode of every imperative body
+    /// (see [`crate::bytecode`]). Goals are compiled as they are lowered.
     pub fn compile(table: Arc<ClassTable>) -> Arc<ProgramPlan> {
         Self::compile_with(table, PlanOptions::default())
     }
 
-    /// [`ProgramPlan::compile`] with bytecode emission switchable — the
-    /// plan-walking baseline of the `bytecode_vs_plan` bench compiles with
-    /// `bytecode: false` so both configurations share every other pass.
-    pub fn compile_opts(table: Arc<ClassTable>, bytecode: bool) -> Arc<ProgramPlan> {
-        Self::compile_with(
-            table,
-            PlanOptions {
-                bytecode,
-                ..PlanOptions::default()
-            },
-        )
-    }
-
     /// [`ProgramPlan::compile`] with every optional pass switchable.
     pub fn compile_with(table: Arc<ClassTable>, opts: PlanOptions) -> Arc<ProgramPlan> {
-        let bytecode = opts.bytecode;
         // Pass 1: resolution maps, no lowering yet.
         let (maps, infos) = Self::build_maps(&table);
         // Every declared name gets a table up front so standalone-lowered
@@ -823,8 +851,8 @@ impl ProgramPlan {
         // Pass 3.5: static analysis — prune dead alternatives, infer
         // determinism, collect lints. Runs after dispatch materialization
         // (inter-procedural facts flow through the tables) and before
-        // bytecode emission (pass 4 compiles the *pruned* plans, so goal
-        // trees and bytecode stay mirror images).
+        // block emission (pass 4 compiles the *pruned* statements); every
+        // goal the pruning rewrites is recompiled on the spot.
         let analysis = if opts.analysis {
             Some(crate::analysis::analyze(
                 &table,
@@ -837,10 +865,8 @@ impl ProgramPlan {
         } else {
             None
         };
-        // Pass 4: emit the flat bytecode of every lowered body.
-        if bytecode {
-            Self::emit_bytecode(&mut methods, &dispatch, None);
-        }
+        // Pass 4: emit the register bytecode of every imperative body.
+        Self::emit_bytecode(&mut methods, &dispatch, None);
         let class_ctor_by_type: Box<[Option<PlanId>]> = type_names
             .iter()
             .map(|ty| maps.class_ctor(&table, ty))
@@ -855,7 +881,6 @@ impl ProgramPlan {
             dispatch,
             class_ctor_by_type,
             equals_dispatch,
-            bc_enabled: bytecode,
             analysis,
         })
     }
@@ -879,7 +904,6 @@ impl ProgramPlan {
         dirty: &[bool],
         opts: PlanOptions,
     ) -> Arc<ProgramPlan> {
-        let bytecode = opts.bytecode;
         let (maps, infos) = Self::build_maps(&table);
         assert_eq!(
             infos.len(),
@@ -931,7 +955,7 @@ impl ProgramPlan {
         // report's prune records for clean ones; the cheap inter-procedural
         // fact fixpoint and lints re-run globally, rewriting a clean plan's
         // determinism bits only when they actually changed (which marks it
-        // changed for the bytecode pass below).
+        // changed for the block pass below).
         let analysis = if opts.analysis {
             Some(crate::analysis::analyze_incremental(
                 &table,
@@ -947,17 +971,15 @@ impl ProgramPlan {
         };
         // Pass 4': re-emit bytecode for changed plans and for plans whose
         // bytecode specialized against a changed plan's body.
-        if bytecode {
-            let changed: Vec<bool> = methods
-                .iter()
-                .zip(&prev.methods)
-                .map(|(a, b)| !Arc::ptr_eq(a, b))
-                .collect();
-            let need: Vec<bool> = (0..methods.len())
-                .map(|pid| changed[pid] || prev.methods[pid].bc_deps.iter().any(|&d| changed[d]))
-                .collect();
-            Self::emit_bytecode(&mut methods, &dispatch, Some(&need));
-        }
+        let changed: Vec<bool> = methods
+            .iter()
+            .zip(&prev.methods)
+            .map(|(a, b)| !Arc::ptr_eq(a, b))
+            .collect();
+        let need: Vec<bool> = (0..methods.len())
+            .map(|pid| changed[pid] || prev.methods[pid].bc_deps.iter().any(|&d| changed[d]))
+            .collect();
+        Self::emit_bytecode(&mut methods, &dispatch, Some(&need));
         let class_ctor_by_type: Box<[Option<PlanId>]> = type_names
             .iter()
             .map(|ty| maps.class_ctor(&table, ty))
@@ -971,7 +993,6 @@ impl ProgramPlan {
             dispatch,
             class_ctor_by_type,
             equals_dispatch,
-            bc_enabled: bytecode,
             analysis,
         })
     }
@@ -1014,11 +1035,11 @@ impl ProgramPlan {
         (maps, infos)
     }
 
-    /// Pass 4: emit the flat bytecode of every lowered body for which
-    /// `need[pid]` holds (all bodies when `need` is `None`). The plan stays
-    /// alongside as the lowering source and the differential oracle. Block
-    /// bodies compile against the whole program (methods + dispatch tables)
-    /// so monomorphic call sites and field-projection switch arms can be
+    /// Pass 4: emit the register bytecode of every imperative body and the
+    /// [`MethodPlan::fast_ctor`] specialization of every plan for which
+    /// `need[pid]` holds (all plans when `need` is `None`). Block bodies
+    /// compile against the whole program (methods + dispatch tables) so
+    /// monomorphic call sites and field-projection switch arms can be
     /// specialized, which is why the bytecode of all bodies is computed
     /// first and attached after; the plans consulted along the way are
     /// recorded as [`MethodPlan::bc_deps`].
@@ -1058,34 +1079,10 @@ impl ProgramPlan {
             let mp = Arc::make_mut(&mut methods[pid]);
             mp.fast_ctor = fast;
             mp.bc_deps = deps;
-            match &mut mp.body {
-                BodyPlan::Formula {
-                    forward,
-                    matching,
-                    equals_bound,
-                } => {
-                    forward.bc = Some(crate::bytecode::compile_body(forward, &forward.param_slots));
-                    matching.bc = Some(crate::bytecode::compile_body(matching, &[]));
-                    if let Some(eb) = equals_bound {
-                        // The runtime's deep-equality bridge seeds only
-                        // the first parameter (the other side of the
-                        // equation), so only it is must-bound.
-                        let seed: Vec<SlotId> =
-                            eb.param_slots.first().copied().into_iter().collect();
-                        eb.bc = Some(crate::bytecode::compile_body(eb, &seed));
-                    }
-                }
-                BodyPlan::Block(bp) => {
-                    bp.bc = block;
-                }
-                BodyPlan::Absent => {}
+            if let BodyPlan::Block(bp) = &mut mp.body {
+                bp.bc = block;
             }
         }
-    }
-
-    /// Whether pass 4 emitted bytecode for this plan.
-    pub fn bytecode_enabled(&self) -> bool {
-        self.bc_enabled
     }
 
     /// What the static-analysis pass found: lints, prunes, determinism
@@ -1575,7 +1572,7 @@ impl<'t> Lowerer<'t> {
                 let bp = self.pat_binds(p);
                 inner.apply(&bp);
                 let goal = self.lower_formula(f, &mut inner);
-                PExpr::Where(Box::new(lp), Box::new(goal))
+                PExpr::Where(Box::new(lp), Box::new(CompiledGoal::new(goal)))
             }
         }
     }
@@ -1958,7 +1955,7 @@ impl<'t> Lowerer<'t> {
 
     fn lower_stmt(&mut self, stmt: &Stmt, st: &mut SlotState) -> StmtPlan {
         match stmt {
-            Stmt::Let(f) => StmtPlan::Let(self.lower_formula(f, st)),
+            Stmt::Let(f) => StmtPlan::Let(CompiledGoal::new(self.lower_formula(f, st))),
             Stmt::Switch {
                 scrutinees,
                 cases,
@@ -2006,7 +2003,7 @@ impl<'t> Lowerer<'t> {
                     .iter()
                     .map(|(f, body)| {
                         let mut inner = st.clone();
-                        let goal = self.lower_formula(f, &mut inner);
+                        let goal = CompiledGoal::new(self.lower_formula(f, &mut inner));
                         (goal, self.lower_block(body, &mut inner))
                     })
                     .collect();
@@ -2021,7 +2018,7 @@ impl<'t> Lowerer<'t> {
             }
             Stmt::If { cond, then, els } => {
                 let mut then_state = st.clone();
-                let goal = self.lower_formula(cond, &mut then_state);
+                let goal = CompiledGoal::new(self.lower_formula(cond, &mut then_state));
                 let lowered_then = self.lower_block(then, &mut then_state);
                 // The else branch executes on the unmodified environment and
                 // its mutations persist; approximate its binds as may-only.
@@ -2043,7 +2040,7 @@ impl<'t> Lowerer<'t> {
             }
             Stmt::Foreach { formula, body } => {
                 let mut inner = st.clone();
-                let goal = self.lower_formula(formula, &mut inner);
+                let goal = CompiledGoal::new(self.lower_formula(formula, &mut inner));
                 let declared = formula
                     .declared_vars()
                     .into_iter()
@@ -2058,7 +2055,7 @@ impl<'t> Lowerer<'t> {
             }
             Stmt::While { cond, body } => {
                 let mut inner = st.clone();
-                let goal = self.lower_formula(cond, &mut inner);
+                let goal = CompiledGoal::new(self.lower_formula(cond, &mut inner));
                 let lowered_body = self.lower_block(body, &mut inner);
                 // Bindings persist across iterations only as possibilities.
                 for (i, bound) in inner.slots.iter().enumerate() {
@@ -2114,6 +2111,8 @@ struct ModeCtx {
     this_owner: Option<String>,
     /// Whether the declared parameters start out bound.
     params_bound: bool,
+    /// How many leading parameters the caller seeds at run time.
+    seeded: usize,
 }
 
 fn lower_method(
@@ -2132,10 +2131,12 @@ fn lower_method(
                 this_owner: (has_receiver && m.decl.kind == MethodKind::Method)
                     .then(|| m.owner.clone()),
                 params_bound: true,
+                seeded: m.decl.params.len(),
             };
             let matching_ctx = ModeCtx {
                 this_owner: has_receiver.then(|| m.owner.clone()),
                 params_bound: false,
+                seeded: 0,
             };
             let forward = lower_solved_form(table, maps, registry, m, f, &forward_ctx);
             let matching = lower_solved_form(table, maps, registry, m, f, &matching_ctx);
@@ -2146,9 +2147,12 @@ fn lower_method(
                     registry,
                     m,
                     f,
+                    // The runtime's deep-equality bridge seeds only the
+                    // first parameter (the other side of the equation).
                     &ModeCtx {
                         this_owner: Some(m.owner.clone()),
                         params_bound: true,
+                        seeded: 1,
                     },
                 )
             });
@@ -2233,15 +2237,25 @@ fn lower_solved_form(
         })
         .unwrap_or_default();
     let goal = lo.lower_formula(f, &mut st);
+    let seeded: Vec<SlotId> = param_slots.iter().copied().take(ctx.seeded).collect();
+    let this_present = ctx.this_owner.is_some();
+    let bc = compile_body(
+        &goal,
+        Entry::Fresh {
+            bound: &seeded,
+            this: this_present,
+        },
+    );
     SolvedForm {
         goal,
         frame: lo.frame,
         param_slots,
         result_slot,
         field_slots,
-        this_present: ctx.this_owner.is_some(),
+        this_present,
         det: false,
-        bc: None,
+        seeded,
+        bc,
     }
 }
 
@@ -2269,23 +2283,29 @@ pub fn lower_standalone(
         .map(|name| lo.frame.slot_of(name).unwrap())
         .collect();
     let goal = lo.lower_formula(f, &mut st);
+    let this_present = this_class.is_some();
+    let bc = compile_body(
+        &goal,
+        Entry::Fresh {
+            bound: &bound_slots,
+            this: this_present,
+        },
+    );
     let mut form = SolvedForm {
         goal,
         frame: lo.frame,
         param_slots: Vec::new(),
         result_slot,
         field_slots: Vec::new(),
-        this_present: this_class.is_some(),
+        this_present,
         det: false,
-        bc: None,
+        seeded: bound_slots,
+        bc,
     };
     // Standalone forms are analyzed against the program's frozen facts
     // (one monotone evaluation — the program fixpoint already converged).
     if plan.analysis().is_some() {
-        form.det = crate::analysis::standalone_facts(plan, &form, &bound_slots, this_class).det();
-    }
-    if plan.bytecode_enabled() {
-        form.bc = Some(crate::bytecode::compile_body(&form, &bound_slots));
+        form.det = crate::analysis::standalone_facts(plan, &form, &form.seeded, this_class).det();
     }
     form
 }
@@ -2366,7 +2386,7 @@ mod tests {
         let BodyPlan::Block(block) = &m.body else {
             panic!()
         };
-        let StmtPlan::Let(goal) = &block.stmts[0] else {
+        let StmtPlan::Let(CompiledGoal { goal, .. }) = &block.stmts[0] else {
             panic!()
         };
         // Conjunct 0 (`int x = int y`) is never must-ready, so scheduling

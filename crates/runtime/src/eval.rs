@@ -3,19 +3,21 @@
 //!
 //! Where the legacy tree-walker re-derives a solving order for every formula
 //! at every call and clones a `HashMap` environment per emitted solution,
-//! the evaluator runs a [`SolvedForm`]'s
-//! goal over a flat frame of variable slots (`Vec<Option<Value>>`):
+//! the evaluator runs the threaded bytecode of a [`SolvedForm`] (and of every
+//! statement and `where` goal) over a flat frame of variable slots
+//! (`Vec<Option<Value>>`):
 //!
 //! * **bindings** are slot writes, undone by scope when a choice point is
 //!   exhausted (the moral equivalent of a trail in a WAM-style machine);
-//! * **conjunctions** follow the statically scheduled order of
-//!   [`Goal::Seq`], falling back to run-time selection only for
-//!   [`Goal::DynSeq`];
+//! * **conjunctions** follow the statically scheduled order compiled into
+//!   the code's `next` pcs, falling back to run-time selection only for a
+//!   [`Instr::DynSeq`];
 //! * **calls** resolve through the plan's precompiled dispatch indices
 //!   instead of walking the supertype chain;
 //! * **choice points** (disjunctions, constructor matches) are explored by
-//!   enumerating each branch against the continuation, so deeper frames
-//!   stack explicitly per invocation rather than per cloned environment.
+//!   enumerating each alternative against the continuation, so deeper
+//!   frames stack explicitly per invocation rather than per cloned
+//!   environment.
 //!
 //! The observable behavior — values, bindings, enumeration order, and
 //! failures — is kept identical to the tree-walker's; `tests/differential.rs`
@@ -25,8 +27,8 @@ use crate::{Bindings, Flow, Object, RtError, RtResult, Value};
 use jmatch_core::bytecode::{BcBlock, BcBody, Const as BcConst, Instr, Pc, SInstr, UnifyMode};
 use jmatch_core::intern::Sym;
 use jmatch_core::lower::{
-    BodyPlan, CallKind, CaseGuard, CaseTarget, ClassCheck, ClassRef, DispatchId, Goal, PExpr,
-    PlanId, ProgramPlan, ReadyCheck, SlotId, SolvedForm, StmtPlan,
+    BodyPlan, CallKind, CaseGuard, CaseTarget, ClassCheck, ClassRef, CompiledGoal, DispatchId,
+    Goal, PExpr, PlanId, ProgramPlan, ReadyCheck, SlotId, SolvedForm, StmtPlan,
 };
 use jmatch_core::table::ClassTable;
 use jmatch_syntax::ast::{BinOp, CmpOp, Expr, Formula, MethodBody, Type};
@@ -898,9 +900,8 @@ impl<'p, 'b> Ev<'p, 'b> {
     // Bytecode execution (threaded formula code)
     // ------------------------------------------------------------------
 
-    /// Enumerates the solutions of a solved form: through its threaded
-    /// bytecode when the plan's pass 4 emitted one, through the goal tree
-    /// otherwise. Both produce identical solutions in identical order.
+    /// Enumerates the solutions of a solved form through its threaded
+    /// bytecode.
     ///
     /// Forms the determinism analysis annotated `det` commit: after the
     /// first solution the remaining search is abandoned, which the
@@ -921,22 +922,18 @@ impl<'p, 'b> Ev<'p, 'b> {
                 keep = emit(ev, fr)?;
                 Ok(false) // commit: the analysis proved no further solutions
             };
-            match &form.bc {
-                Some(bc) => self.solve_bc(fr, this, bc, bc.entry, &mut det_emit)?,
-                None => self.solve(fr, this, &form.goal, &mut det_emit)?,
-            };
+            self.solve_bc(fr, this, &form.bc, form.bc.entry, &mut det_emit)?;
             return Ok(if emitted { keep } else { true });
         }
-        match &form.bc {
-            Some(bc) => self.solve_bc(fr, this, bc, bc.entry, emit),
-            None => self.solve(fr, this, &form.goal, emit),
-        }
+        self.solve_bc(fr, this, &form.bc, form.bc.entry, emit)
     }
 
     /// Runs threaded bytecode from `pc`: one budget step and one depth
     /// level per entry. Re-entered at continuation boundaries (choice
-    /// alternatives, pattern-match and callee continuations); deterministic
-    /// instructions thread through `next` pcs inline without recursing.
+    /// alternatives, sub-entries, pattern-match and callee
+    /// continuations); deterministic instructions thread through `next`
+    /// pcs inline without recursing. Reaching pc `0` hands the bindings to
+    /// `emit` — a solution of the goal, or of the sub-entry `pc` started.
     pub(crate) fn solve_bc(
         &mut self,
         fr: &mut Frame,
@@ -968,9 +965,9 @@ impl<'p, 'b> Ev<'p, 'b> {
         mut pc: Pc,
         emit: Emit<'_>,
     ) -> RtResult<bool> {
-        // Right-to-left emission makes every `next` / alternative pc
-        // strictly smaller than the pc of the instruction holding it, so
-        // this loop always terminates.
+        // Right-to-left emission makes every `next` / alternative /
+        // sub-entry pc strictly smaller than the pc of the instruction
+        // holding it, so this loop always terminates.
         loop {
             match &bc.instrs[pc as usize] {
                 Instr::Emit => return emit(self, fr),
@@ -1120,9 +1117,9 @@ impl<'p, 'b> Ev<'p, 'b> {
                         }
                     }
                 }
-                Instr::Not { goal, next } => {
+                Instr::Not { entry, next } => {
                     let mut found = false;
-                    self.solve(fr, this, &bc.goals[*goal as usize], &mut |_, _| {
+                    self.solve_bc(fr, this, bc, *entry, &mut |_, _| {
                         found = true;
                         Ok(false)
                     })?;
@@ -1132,216 +1129,43 @@ impl<'p, 'b> Ev<'p, 'b> {
                     }
                     return Ok(true);
                 }
-                Instr::DynSeq { goal, next } => {
-                    let next = *next;
-                    return self.solve(fr, this, &bc.goals[*goal as usize], &mut |ev, fr| {
-                        ev.solve_bc(fr, this, bc, next, &mut *emit)
-                    });
+                Instr::DynSeq { conjuncts, next } => {
+                    let remaining: Vec<usize> = (0..conjuncts.len()).collect();
+                    return self.solve_dynseq(fr, this, bc, conjuncts, &remaining, *next, emit);
                 }
             }
         }
     }
 
-    // ------------------------------------------------------------------
-    // Goal solving
-    // ------------------------------------------------------------------
-
-    /// Enumerates the solutions of a goal. Returns `Ok(false)` when the
-    /// continuation asked to stop.
-    pub(crate) fn solve(
-        &mut self,
-        fr: &mut Frame,
-        this: Option<&Value>,
-        g: &Goal,
-        emit: Emit<'_>,
-    ) -> RtResult<bool> {
-        self.budget.step()?;
-        self.depth += 1;
-        if self.depth > self.budget.max_depth {
-            self.depth -= 1;
-            return Err(RtError::limit(
-                "depth",
-                self.budget.max_depth as u64,
-                "solver recursion limit exceeded",
-            ));
-        }
-        let r = self.solve_inner(fr, this, g, emit);
-        self.depth -= 1;
-        r
-    }
-
-    fn solve_inner(
-        &mut self,
-        fr: &mut Frame,
-        this: Option<&Value>,
-        g: &Goal,
-        emit: Emit<'_>,
-    ) -> RtResult<bool> {
-        match g {
-            Goal::True | Goal::Trivial => emit(self, fr),
-            Goal::Fail => Ok(true),
-            Goal::Seq(goals) => self.solve_seq(fr, this, goals, emit),
-            Goal::DynSeq(items) => {
-                let remaining: Vec<usize> = (0..items.len()).collect();
-                self.solve_dynseq(fr, this, items, &remaining, emit)
-            }
-            Goal::Any(branches) => {
-                for b in branches {
-                    if !self.solve(fr, this, b, emit)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-            Goal::Not(inner) => {
-                let mut found = false;
-                self.solve(fr, this, inner, &mut |_, _| {
-                    found = true;
-                    Ok(false)
-                })?;
-                if !found {
-                    emit(self, fr)
-                } else {
-                    Ok(true)
-                }
-            }
-            Goal::Unify(lhs, rhs) => {
-                let lg = self.ground(fr, this, lhs);
-                let rg = self.ground(fr, this, rhs);
-                match (lg, rg) {
-                    (true, true) => {
-                        let a = self.eval(fr, this, lhs)?;
-                        let b = self.eval(fr, this, rhs)?;
-                        if self.values_equal(&a, &b)? {
-                            emit(self, fr)
-                        } else {
-                            Ok(true)
-                        }
-                    }
-                    (true, false) => {
-                        let v = self.eval(fr, this, lhs)?;
-                        self.match_pat(fr, this, rhs, &v, emit)
-                    }
-                    (false, true) => {
-                        let v = self.eval(fr, this, rhs)?;
-                        self.match_pat(fr, this, lhs, &v, emit)
-                    }
-                    (false, false) => Err(RtError::new(format!(
-                        "equation with unknowns on both sides is not solvable: {lhs:?} = {rhs:?}"
-                    ))),
-                }
-            }
-            Goal::Compare(op, lhs, rhs) => {
-                let a = self.eval(fr, this, lhs)?;
-                let b = self.eval(fr, this, rhs)?;
-                let (x, y) = match (a.as_int(), b.as_int()) {
-                    (Some(x), Some(y)) => (x, y),
-                    _ => {
-                        if *op == CmpOp::Ne {
-                            if !self.values_equal(&a, &b)? {
-                                return emit(self, fr);
-                            }
-                            return Ok(true);
-                        }
-                        return Err(RtError::new("ordering comparison on non-integers"));
-                    }
-                };
-                let holds = match op {
-                    CmpOp::Le => x <= y,
-                    CmpOp::Lt => x < y,
-                    CmpOp::Ge => x >= y,
-                    CmpOp::Gt => x > y,
-                    CmpOp::Ne => x != y,
-                    CmpOp::Eq => x == y,
-                };
-                if holds {
-                    emit(self, fr)
-                } else {
-                    Ok(true)
-                }
-            }
-            Goal::Invoke {
-                receiver,
-                name,
-                args,
-                dispatch,
-            } => {
-                let subject: Value = match receiver {
-                    Some(r) if self.ground(fr, this, r) => self.eval(fr, this, r)?,
-                    None => this
-                        .cloned()
-                        .ok_or_else(|| RtError::new("predicate call without a receiver"))?,
-                    Some(_) => {
-                        return Err(RtError::new("predicate receiver is not ground"));
-                    }
-                };
-                match &subject {
-                    Value::Obj(o) => {
-                        let Some(pid) = self.resolve_dispatch(*dispatch, o, name) else {
-                            return Err(RtError::method_not_found(o.class(), name));
-                        };
-                        self.match_constructor(fr, &subject, pid, args, emit)
-                    }
-                    Value::Bool(b) => {
-                        if *b {
-                            emit(self, fr)
-                        } else {
-                            Ok(true)
-                        }
-                    }
-                    other => Err(RtError::new(format!(
-                        "cannot use `{other}` as a predicate receiver"
-                    ))),
-                }
-            }
-            Goal::Test(e) => {
-                let v = self.eval(fr, this, e)?;
-                if v.as_bool() == Some(true) {
-                    emit(self, fr)
-                } else {
-                    Ok(true)
-                }
-            }
-        }
-    }
-
-    fn solve_seq(
-        &mut self,
-        fr: &mut Frame,
-        this: Option<&Value>,
-        goals: &[Goal],
-        emit: Emit<'_>,
-    ) -> RtResult<bool> {
-        match goals.split_first() {
-            None => emit(self, fr),
-            Some((g, rest)) => self.solve(fr, this, g, &mut |ev, fr| {
-                ev.solve_seq(fr, this, rest, emit)
-            }),
-        }
-    }
-
+    /// The run-time scheduler of [`Instr::DynSeq`]: runs the first of the
+    /// `remaining` conjuncts whose readiness test holds against the
+    /// current bindings, re-selecting from the rest after each of its
+    /// solutions, and continues at `next` once every conjunct ran.
+    #[allow(clippy::too_many_arguments)]
     fn solve_dynseq(
         &mut self,
         fr: &mut Frame,
         this: Option<&Value>,
-        items: &[(ReadyCheck, Goal)],
+        bc: &BcBody,
+        conjuncts: &[(ReadyCheck, Pc)],
         remaining: &[usize],
+        next: Pc,
         emit: Emit<'_>,
     ) -> RtResult<bool> {
         let Some(&chosen) = remaining
             .iter()
-            .find(|&&i| self.check_ready(fr, this, &items[i].0))
+            .find(|&&i| self.check_ready(fr, this, &conjuncts[i].0))
         else {
             if remaining.is_empty() {
-                return emit(self, fr);
+                return self.solve_bc(fr, this, bc, next, emit);
             }
             return Err(RtError::new(
                 "formula is not solvable: no conjunct can run with the current bindings",
             ));
         };
         let rest: Vec<usize> = remaining.iter().copied().filter(|&i| i != chosen).collect();
-        self.solve(fr, this, &items[chosen].1, &mut |ev, fr| {
-            ev.solve_dynseq(fr, this, items, &rest, emit)
+        self.solve_bc(fr, this, bc, conjuncts[chosen].1, &mut |ev, fr| {
+            ev.solve_dynseq(fr, this, bc, conjuncts, &rest, next, emit)
         })
     }
 
@@ -1443,8 +1267,8 @@ impl<'p, 'b> Ev<'p, 'b> {
                 }
                 self.match_pat(fr, this, b, value, emit)
             }
-            PExpr::Where(p, goal) => self.match_pat(fr, this, p, value, &mut |ev, fr| {
-                ev.solve(fr, this, goal, emit)
+            PExpr::Where(p, g) => self.match_pat(fr, this, p, value, &mut |ev, fr| {
+                ev.solve_bc(fr, this, &g.bc, g.bc.entry, emit)
             }),
             PExpr::Call {
                 receiver,
@@ -1508,19 +1332,19 @@ impl<'p, 'b> Ev<'p, 'b> {
                     }
                     (BinOp::Add, true, false) => {
                         let av = self.eval(fr, this, a)?.as_int().unwrap_or(0);
-                        self.match_pat(fr, this, b, &Value::Int(target - av), emit)
+                        self.match_pat(fr, this, b, &Value::Int(target.wrapping_sub(av)), emit)
                     }
                     (BinOp::Add, false, true) => {
                         let bv = self.eval(fr, this, b)?.as_int().unwrap_or(0);
-                        self.match_pat(fr, this, a, &Value::Int(target - bv), emit)
+                        self.match_pat(fr, this, a, &Value::Int(target.wrapping_sub(bv)), emit)
                     }
                     (BinOp::Sub, false, true) => {
                         let bv = self.eval(fr, this, b)?.as_int().unwrap_or(0);
-                        self.match_pat(fr, this, a, &Value::Int(target + bv), emit)
+                        self.match_pat(fr, this, a, &Value::Int(target.wrapping_add(bv)), emit)
                     }
                     (BinOp::Sub, true, false) => {
                         let av = self.eval(fr, this, a)?.as_int().unwrap_or(0);
-                        self.match_pat(fr, this, b, &Value::Int(av - target), emit)
+                        self.match_pat(fr, this, b, &Value::Int(av.wrapping_sub(target)), emit)
                     }
                     _ => Err(RtError::new(
                         "cannot invert this arithmetic pattern at run time",
@@ -1531,7 +1355,7 @@ impl<'p, 'b> Ev<'p, 'b> {
                 let Some(target) = value.as_int() else {
                     return Ok(true);
                 };
-                self.match_pat(fr, this, a, &Value::Int(-target), emit)
+                self.match_pat(fr, this, a, &Value::Int(target.wrapping_neg()), emit)
             }
             other => {
                 let v = self.eval(fr, this, other)?;
@@ -1783,31 +1607,14 @@ impl<'p, 'b> Ev<'p, 'b> {
                     .eval(fr, this, b)?
                     .as_int()
                     .ok_or_else(|| RtError::new("arithmetic on non-integer"))?;
-                let v = match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    BinOp::Mul => x * y,
-                    BinOp::Div => {
-                        if y == 0 {
-                            return Err(RtError::new("division by zero"));
-                        }
-                        x / y
-                    }
-                    BinOp::Rem => {
-                        if y == 0 {
-                            return Err(RtError::new("remainder by zero"));
-                        }
-                        x % y
-                    }
-                };
-                Ok(Value::Int(v))
+                Ok(Value::Int(bin_int(*op, x, y)?))
             }
             PExpr::Neg(a) => {
                 let x = self
                     .eval(fr, this, a)?
                     .as_int()
                     .ok_or_else(|| RtError::new("negation of non-integer"))?;
-                Ok(Value::Int(-x))
+                Ok(Value::Int(x.wrapping_neg()))
             }
             PExpr::Call {
                 receiver,
@@ -1879,15 +1686,15 @@ impl<'p, 'b> Ev<'p, 'b> {
         Ok(Flow::Normal)
     }
 
-    /// First solution of a goal, as a frame snapshot.
+    /// First solution of a statement's goal, as a frame snapshot.
     fn first_solution(
         &mut self,
         fr: &mut Frame,
         this: Option<&Value>,
-        goal: &Goal,
+        goal: &CompiledGoal,
     ) -> RtResult<Option<Frame>> {
         let mut sol = None;
-        self.solve(fr, this, goal, &mut |_, f| {
+        self.solve_bc(fr, this, &goal.bc, goal.bc.entry, &mut |_, f| {
             sol = Some(f.clone());
             Ok(false)
         })?;
@@ -1902,14 +1709,14 @@ impl<'p, 'b> Ev<'p, 'b> {
         &mut self,
         fr: &mut Frame,
         this: Option<&Value>,
-        goal: &Goal,
+        goal: &CompiledGoal,
     ) -> RtResult<bool> {
         if matches!(
-            goal,
+            goal.goal,
             Goal::Compare(..) | Goal::Test(_) | Goal::Not(_) | Goal::True | Goal::Fail
         ) {
             let mut found = false;
-            self.solve(fr, this, goal, &mut |_, _| {
+            self.solve_bc(fr, this, &goal.bc, goal.bc.entry, &mut |_, _| {
                 found = true;
                 Ok(false)
             })?;
@@ -2053,7 +1860,7 @@ impl<'p, 'b> Ev<'p, 'b> {
                     let x = regs[*a as usize]
                         .as_int()
                         .ok_or_else(|| RtError::new("negation of non-integer"))?;
-                    regs[*dst as usize] = Value::Int(-x);
+                    regs[*dst as usize] = Value::Int(x.wrapping_neg());
                 }
                 SInstr::EvalExpr { dst, expr } => {
                     regs[*dst as usize] = self.eval(fr, this, &bc.exprs[*expr as usize])?;
@@ -2331,7 +2138,7 @@ impl<'p, 'b> Ev<'p, 'b> {
                 body,
             } => {
                 let mut solutions: Vec<Frame> = Vec::new();
-                self.solve(fr, this, goal, &mut |_, f| {
+                self.solve_bc(fr, this, &goal.bc, goal.bc.entry, &mut |_, f| {
                     solutions.push(f.clone());
                     Ok(true)
                 })?;
@@ -2461,25 +2268,26 @@ impl<'p, 'b> Ev<'p, 'b> {
     }
 }
 
-/// Integer arithmetic shared by the `Bin` bytecode instruction and the
-/// fast-constructor field evaluator — one place for the division and
-/// remainder guards.
+/// Integer arithmetic shared by every evaluator of the plan engine — one
+/// place for the division and remainder guards.
+/// Overflow follows Java's two's-complement semantics: `+ - *` wrap,
+/// `MIN / -1` is `MIN` and `MIN % -1` is `0`.
 pub(crate) fn bin_int(op: BinOp, x: i64, y: i64) -> RtResult<i64> {
     Ok(match op {
-        BinOp::Add => x + y,
-        BinOp::Sub => x - y,
-        BinOp::Mul => x * y,
+        BinOp::Add => x.wrapping_add(y),
+        BinOp::Sub => x.wrapping_sub(y),
+        BinOp::Mul => x.wrapping_mul(y),
         BinOp::Div => {
             if y == 0 {
                 return Err(RtError::new("division by zero"));
             }
-            x / y
+            x.wrapping_div(y)
         }
         BinOp::Rem => {
             if y == 0 {
                 return Err(RtError::new("remainder by zero"));
             }
-            x % y
+            x.wrapping_rem(y)
         }
     })
 }
@@ -2513,7 +2321,7 @@ fn fast_ctor_field(e: &PExpr, params: &[SlotId], args: &[Value]) -> RtResult<Val
             let x = fast_ctor_field(a, params, args)?
                 .as_int()
                 .ok_or_else(|| RtError::new("negation of non-integer"))?;
-            Value::Int(-x)
+            Value::Int(x.wrapping_neg())
         }
         _ => unreachable!("expression shape vetted by `fast_ctor`"),
     })

@@ -100,8 +100,6 @@ pub mod serve;
 pub mod tree;
 pub mod workspace;
 
-#[allow(deprecated)]
-pub use api::Compiler;
 pub use api::{CtorRef, Limits, MethodRef, Program, Query, Solutions};
 pub use eval::PlanInterp;
 pub use tree::TreeWalker;

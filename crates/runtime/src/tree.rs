@@ -852,19 +852,47 @@ impl TreeWalker {
                     }
                     (BinOp::Add, true, false) => {
                         let av = self.eval(env, this, a)?.as_int().unwrap_or(0);
-                        self.match_pattern(env, this, b, &Value::Int(target - av), depth + 1, emit)
+                        self.match_pattern(
+                            env,
+                            this,
+                            b,
+                            &Value::Int(target.wrapping_sub(av)),
+                            depth + 1,
+                            emit,
+                        )
                     }
                     (BinOp::Add, false, true) => {
                         let bv = self.eval(env, this, b)?.as_int().unwrap_or(0);
-                        self.match_pattern(env, this, a, &Value::Int(target - bv), depth + 1, emit)
+                        self.match_pattern(
+                            env,
+                            this,
+                            a,
+                            &Value::Int(target.wrapping_sub(bv)),
+                            depth + 1,
+                            emit,
+                        )
                     }
                     (BinOp::Sub, false, true) => {
                         let bv = self.eval(env, this, b)?.as_int().unwrap_or(0);
-                        self.match_pattern(env, this, a, &Value::Int(target + bv), depth + 1, emit)
+                        self.match_pattern(
+                            env,
+                            this,
+                            a,
+                            &Value::Int(target.wrapping_add(bv)),
+                            depth + 1,
+                            emit,
+                        )
                     }
                     (BinOp::Sub, true, false) => {
                         let av = self.eval(env, this, a)?.as_int().unwrap_or(0);
-                        self.match_pattern(env, this, b, &Value::Int(av - target), depth + 1, emit)
+                        self.match_pattern(
+                            env,
+                            this,
+                            b,
+                            &Value::Int(av.wrapping_sub(target)),
+                            depth + 1,
+                            emit,
+                        )
                     }
                     _ => Err(RtError::new(
                         "cannot invert this arithmetic pattern at run time",
@@ -875,7 +903,14 @@ impl TreeWalker {
                 let Some(target) = value.as_int() else {
                     return Ok(true);
                 };
-                self.match_pattern(env, this, a, &Value::Int(-target), depth + 1, emit)
+                self.match_pattern(
+                    env,
+                    this,
+                    a,
+                    &Value::Int(target.wrapping_neg()),
+                    depth + 1,
+                    emit,
+                )
             }
             other => {
                 let v = self.eval(env, this, other)?;
@@ -1082,21 +1117,22 @@ impl TreeWalker {
                     .eval(env, this, b)?
                     .as_int()
                     .ok_or_else(|| RtError::new("arithmetic on non-integer"))?;
+                // Java's two's-complement semantics, like the plan engine.
                 let v = match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    BinOp::Mul => x * y,
+                    BinOp::Add => x.wrapping_add(y),
+                    BinOp::Sub => x.wrapping_sub(y),
+                    BinOp::Mul => x.wrapping_mul(y),
                     BinOp::Div => {
                         if y == 0 {
                             return Err(RtError::new("division by zero"));
                         }
-                        x / y
+                        x.wrapping_div(y)
                     }
                     BinOp::Rem => {
                         if y == 0 {
                             return Err(RtError::new("remainder by zero"));
                         }
-                        x % y
+                        x.wrapping_rem(y)
                     }
                 };
                 Ok(Value::Int(v))
@@ -1106,7 +1142,7 @@ impl TreeWalker {
                     .eval(env, this, a)?
                     .as_int()
                     .ok_or_else(|| RtError::new("negation of non-integer"))?;
-                Ok(Value::Int(-x))
+                Ok(Value::Int(x.wrapping_neg()))
             }
             Expr::Call {
                 receiver,

@@ -387,3 +387,70 @@ fn moved_formula_shapes_agree_across_engines() {
         }
     }
 }
+
+/// Integer arithmetic follows Java's two's-complement semantics on both
+/// engines, through every evaluator of the plan engine: register code,
+/// formula evaluation, the fast constructor path, and inverted arithmetic
+/// patterns. `MIN / -1` and `-MIN` are `MIN`, `MIN % -1` is `0`, and
+/// `MAX + 1` wraps to `MIN` — none of them may panic.
+#[test]
+fn integer_overflow_wraps_like_java_on_both_engines() {
+    let src = r#"
+        class Wrap {
+            int v;
+            Wrap(int a) returns(a) ( v = a + 1 )
+            int div(int b) ( result = v / b )
+            int rem(int b) ( result = v % b )
+            int neg() ( result = -v )
+        }
+        static int div(int a, int b) { return a / b; }
+        static int rem(int a, int b) { return a % b; }
+        static int neg(int a) { return -a; }
+        static int add(int a, int b) { return a + b; }
+        static int minDivNegOne() { return (-9223372036854775807 - 1) / -1; }
+        static int back(int t) {
+            let (int x + 1 = t);
+            return x;
+        }
+        static int negBack(int t) {
+            let (-(int x) = t);
+            return x;
+        }
+    "#;
+    const MIN: i64 = i64::MIN;
+    const MAX: i64 = i64::MAX;
+    let (plan, tree) = engines_for(src);
+    for program in [&plan, &tree] {
+        let free = |name: &str, args: Vec<Value>| {
+            program
+                .free_method(name)
+                .unwrap()
+                .call(None, args)
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+        };
+        assert_eq!(free("div", args![MIN, -1]), Value::Int(MIN));
+        assert_eq!(free("rem", args![MIN, -1]), Value::Int(0));
+        assert_eq!(free("neg", args![MIN]), Value::Int(MIN));
+        assert_eq!(free("add", args![MAX, 1]), Value::Int(MIN));
+        assert_eq!(free("minDivNegOne", args![]), Value::Int(MIN));
+        assert_eq!(free("back", args![MIN]), Value::Int(MAX));
+        assert_eq!(free("negBack", args![MIN]), Value::Int(MIN));
+        // `Wrap(MAX)` stores `MAX + 1`, i.e. `MIN`.
+        let w = program
+            .ctor("Wrap", "Wrap")
+            .unwrap()
+            .construct(args![MAX])
+            .unwrap();
+        assert_eq!(w.field("v"), Some(&Value::Int(MIN)));
+        let method = |name: &str, args: Vec<Value>| {
+            program
+                .method("Wrap", name)
+                .unwrap()
+                .call(Some(&w), args)
+                .unwrap_or_else(|e| panic!("Wrap.{name}: {e}"))
+        };
+        assert_eq!(method("div", args![-1]), Value::Int(MIN));
+        assert_eq!(method("rem", args![-1]), Value::Int(0));
+        assert_eq!(method("neg", args![]), Value::Int(MIN));
+    }
+}
